@@ -41,7 +41,6 @@ from .surface import (
     bmy_status,
     candidate_invariants,
     candidate_to_dict,
-    candidate_to_json,
     dp_data,
     gram_determinant,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "bmy_status",
     "candidate_invariants",
     "candidate_to_dict",
-    "candidate_to_json",
     "dp_data",
     "gram_determinant",
 ]

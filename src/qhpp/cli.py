@@ -11,7 +11,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 from .checks import run_all_checks
@@ -160,29 +159,23 @@ def _cmd_candidate(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    report = run_pipeline(args.pipeline, cap=args.cap, threads=args.threads)
+    report = run_pipeline(args.pipeline, cap=args.cap)
     _emit_report(report, args.format)
     return 0 if report.matches_fixture else 1
 
 
 def _cmd_verify(args) -> int:
     ok = True
-    for name in ("table1", "q20", "small-q", "l11", "step5", "step6"):
-        report = run_pipeline(name, threads=args.threads)
+    for name in PIPELINES:
+        cap = args.cap if name == "noA2" else None
+        report = run_pipeline(name, cap=cap)
         status = "OK" if report.matches_fixture else "MISMATCH"
+        title = name if cap is None else f"{name} (cap {cap})"
         stages = ", ".join(f"{n}={c}" for n, c in report.stages)
-        print(f"{status:8s} pipeline {name}: {stages}")
+        print(f"{status:8s} pipeline {title}: {stages}")
         for m in report.mismatches:
             print(f"         {m}")
         ok = ok and report.matches_fixture
-
-    report = run_pipeline("noA2", cap=args.cap, threads=args.threads)
-    status = "OK" if report.matches_fixture else "MISMATCH"
-    stages = ", ".join(f"{n}={c}" for n, c in report.stages)
-    print(f"{status:8s} pipeline noA2 (cap {args.cap}): {stages}")
-    for m in report.mismatches:
-        print(f"         {m}")
-    ok = ok and report.matches_fixture
 
     gram_ok = True
     for cfg in load_fixtures()["gram"]:
@@ -261,14 +254,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="run one enumeration pipeline")
     p.add_argument("--pipeline", required=True, choices=sorted(PIPELINES))
     p.add_argument("--cap", type=int, default=None, help="order cap for the noA2 scan")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    # accepted for old command lines; the scans run in one thread
+    p.add_argument("--threads", type=int, help=argparse.SUPPRESS)
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.set_defaults(fn=_cmd_enumerate)
 
     p = sub.add_parser("verify", help="run every pipeline and property suite")
     p.add_argument("--all", action="store_true", required=True)
     p.add_argument("--cap", type=int, default=500, help="order cap for the noA2 scan")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=int, help=argparse.SUPPRESS)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("dioph", help="solve a bounded linear Diophantine problem")
@@ -319,7 +313,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code else 0
     try:
         return args.fn(args)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

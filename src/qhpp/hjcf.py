@@ -140,13 +140,7 @@ def cf_from_pair(q: int, q1: int) -> HjCf:
         raise ValueError(f"q1 must satisfy 1 <= q1 < q, got q1={q1}, q={q}")
     if gcd(q, q1) != 1:
         raise ValueError(f"q and q1 must be coprime, got {q}/{q1}")
-    entries = []
-    a, b = q, q1
-    while b:
-        n = -(-a // b)
-        entries.append(n)
-        a, b = b, n * b - a
-    return HjCf(entries)
+    return HjCf(_expand_entries(q, q1))
 
 
 def cf_reverse(cf: HjCf) -> HjCf:

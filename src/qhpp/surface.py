@@ -21,7 +21,6 @@ The key derived numbers are, with f: S' -> S the minimal resolution:
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -39,7 +38,6 @@ __all__ = [
     "bmy_status",
     "gram_determinant",
     "candidate_to_dict",
-    "candidate_to_json",
     "is_positive_square",
 ]
 
@@ -208,10 +206,6 @@ def candidate_to_dict(cand: SurfaceCandidate) -> dict:
         "three_e_orb": format_rational(3 * cand.e_orb),
         "bmy": bmy_status(cand).value,
     }
-
-
-def candidate_to_json(cand: SurfaceCandidate) -> str:
-    return json.dumps(candidate_to_dict(cand), sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,9 @@ import csv
 import io
 import json
 
+import pytest
+
+import qhpp.fixtures as fx
 from qhpp.cli import main
 
 # ---------------------------------------------------------------------------
@@ -133,22 +136,21 @@ def test_gram_weighted_edge(capsys):
 
 
 def test_enumerate_matching_pipeline_exits_zero(capsys):
-    code, out, _ = run(capsys, "enumerate", "--pipeline", "step5", "--threads", "1")
+    code, out, _ = run(capsys, "enumerate", "--pipeline", "step5")
     assert code == 0
     assert "matches_fixture: True" in out
 
 
 def test_enumerate_mismatching_pipeline_exits_one(capsys):
-    code, out, _ = run(capsys, "enumerate", "--pipeline", "q20", "--threads", "1")
+    code, out, _ = run(capsys, "enumerate", "--pipeline", "q20")
     assert code == 1
     assert "mismatches:" in out
     assert "126" in out
 
 
 def test_enumerate_json_stable(capsys):
-    code1, out1, _ = run(
-        capsys, "enumerate", "--pipeline", "table1", "--format", "json", "--threads", "1"
-    )
+    # --threads is still accepted, hidden from --help, and changes nothing
+    code1, out1, _ = run(capsys, "enumerate", "--pipeline", "table1", "--format", "json")
     code2, out2, _ = run(
         capsys, "enumerate", "--pipeline", "table1", "--format", "json", "--threads", "2"
     )
@@ -156,15 +158,13 @@ def test_enumerate_json_stable(capsys):
     assert out1 == out2
     data = json.loads(out1)
     assert data["stages"] == [["types", 1092], ["D_square", 24]]
+    _, help_out, _ = run(capsys, "enumerate", "--help")
+    assert "--cap" in help_out and "--threads" not in help_out
 
 
 def test_enumerate_csv_json_parity(capsys):
-    _, json_out, _ = run(
-        capsys, "enumerate", "--pipeline", "table1", "--format", "json", "--threads", "1"
-    )
-    _, csv_out, _ = run(
-        capsys, "enumerate", "--pipeline", "table1", "--format", "csv", "--threads", "1"
-    )
+    _, json_out, _ = run(capsys, "enumerate", "--pipeline", "table1", "--format", "json")
+    _, csv_out, _ = run(capsys, "enumerate", "--pipeline", "table1", "--format", "csv")
     data = json.loads(json_out)
     rows = list(csv.DictReader(io.StringIO(csv_out)))
     stages = [(r["name"], int(r["value"])) for r in rows if r["section"] == "stage"]
@@ -186,6 +186,74 @@ def test_enumerate_noA2_cap(capsys):
     )
     assert code == 0
     assert json.loads(out)["details"]["q_cap"] == 60
+
+
+def test_enumerate_cap_is_checked(capsys):
+    code, out, _ = run(capsys, "enumerate", "--pipeline", "table1", "--cap", "7")
+    assert code == 2 and out == ""
+    code, out, err = run(capsys, "enumerate", "--pipeline", "noA2", "--cap", "0")
+    assert code == 2 and out == ""
+    assert "q_cap must be at least 7" in err
+
+
+# ---------------------------------------------------------------------------
+# reference tables given through the environment
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def tables(tmp_path, monkeypatch):
+    """Point the loader at a file in tmp_path; returns its path."""
+    path = tmp_path / "tables.json"
+    monkeypatch.setenv(fx.ENV_VAR, str(path))
+    fx._load.cache_clear()
+    yield path
+    fx._load.cache_clear()
+
+
+def test_missing_fixture_file_is_input_error(capsys, tables):
+    code, out, err = run(capsys, "enumerate", "--pipeline", "step5")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and str(tables) in err
+
+
+CORRUPTED = {
+    "table1": [
+        "table1: row 1 ks2 computed 1536/91, fixture 1/2",
+    ],
+    "l11": [
+        "l11 case 1: D computed 36, fixture 37",
+        "l11 case 1: admissible m computed [1], fixture [1, 2]",
+    ],
+    "step5": [
+        "step5 p3=[5]: tally computed 11, fixture 12",
+    ],
+    "step6": [
+        "step6: rule A computed [1, 2, 3, 4, 6, 8, 9, 11, 12, 13, 17, 19], "
+        "fixture [1, 2, 3, 4, 6, 8, 9, 11, 12, 13, 17]",
+    ],
+    "noA2": [
+        "noA2: example q=7 D computed 960, fixture 961",
+    ],
+}
+
+
+@pytest.mark.parametrize("pipeline", sorted(CORRUPTED))
+def test_corrupted_fixture_cells_are_reported(capsys, tables, pipeline):
+    data = json.loads(json.dumps(fx._load(None)))
+    data["table1"]["rows"][0]["ks2"] = "1/2"
+    data["l11_cases"][0]["D"] = "37"
+    data["l11_cases"][0]["m_values"] = [1, 2]
+    data["step5"]["sub_cases"][0]["tally"] = 12
+    data["step6"]["rules"]["A"].remove(19)
+    data["noA2_examples"][0]["D"] = "961"
+    tables.write_text(json.dumps(data))
+    argv = ["enumerate", "--pipeline", pipeline, "--format", "json"]
+    if pipeline == "noA2":
+        argv += ["--cap", "60"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert json.loads(out)["mismatches"] == CORRUPTED[pipeline]
 
 
 # ---------------------------------------------------------------------------

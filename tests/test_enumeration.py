@@ -272,13 +272,10 @@ def test_run_pipeline_dispatch():
     assert run_pipeline("noA2", cap=60).details["q_cap"] == 60
     with pytest.raises(ValueError):
         run_pipeline("bogus")
-
-
-def test_reports_deterministic_across_threads():
-    for name in ("table1", "q20", "small-q"):
-        a = run_pipeline(name, threads=1).to_dict()
-        b = run_pipeline(name, threads=3).to_dict()
-        assert a == b
+    with pytest.raises(ValueError, match="noA2 pipeline only"):
+        run_pipeline("table1", cap=7)
+    with pytest.raises(ValueError, match="q_cap must be at least 7"):
+        run_pipeline("noA2", cap=0)
 
 
 def test_report_json_round_trip():
