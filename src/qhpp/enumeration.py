@@ -20,7 +20,14 @@ from itertools import combinations, product
 from math import gcd
 
 from .fixtures import load_fixtures
-from .hjcf import HjCf, enumerate_cfs_by_shape, enumerate_cfs_of_order, parse_cf
+from .hjcf import (
+    HjCf,
+    _chain_shape,
+    cf_from_pair,
+    enumerate_cfs_by_shape,
+    enumerate_cfs_of_order,
+    parse_cf,
+)
 from .obstruction import (
     Incidence,
     aggregated_problem,
@@ -289,6 +296,9 @@ def table1_pipeline() -> PipelineReport:
 # ---------------------------------------------------------------------------
 
 
+_NOA2_THIRDS = ("[2,2,2,2]", "[3,2]", "[5]")
+
+
 def noA2_scan(q_cap: int = 500) -> PipelineReport:
     """Show the order-3 singularity cannot be a chain [2,2] in any (2,3,5,q)
     candidate: for every chain of order q <= q_cap with gcd(q, 30) = 1 and
@@ -299,6 +309,13 @@ def noA2_scan(q_cap: int = 500) -> PipelineReport:
     form is nonzero mod 3 because q1 + ql + trace*q is divisible by 3 exactly
     when q is not (and here 3 never divides q), so D has 3-adic valuation 1
     and cannot be a square.
+
+    The forms need only q1, ql, the trace and the length of each chain, so
+    the scan walks integers instead of chains: a class up to reversal is the
+    pair {q1, ql = q1^-1 mod q} (the reversed chain of q/q1 is q/ql), visited
+    once as the unit q1 <= ql.  Only a chain that fails a check is built, to
+    name it in the report; failures keep the order of a scan over the
+    canonical chains of each q.
     """
     if q_cap < 7:
         raise ValueError("q_cap must be at least 7")
@@ -310,22 +327,34 @@ def noA2_scan(q_cap: int = 500) -> PipelineReport:
     for q in range(7, q_cap + 1):
         if gcd(q, 30) != 1:
             continue
-        for cf in enumerate_cfs_of_order(q):
+        failed = []
+        for q1 in range(1, q):
+            if gcd(q, q1) != 1:
+                continue
+            ql = pow(q1, -1, q)
+            if ql < q1:
+                continue
             n_cfs += 1
-            q1, ql, tr, l = cf.q1, cf.ql, cf.trace, cf.l
+            tr, l = _chain_shape(q, q1)
             x_a4 = q1 + ql + (tr - 3 * l) * q + 2
             x_52 = 5 * (q1 + ql) + (5 * (tr - 3 * l) + 12) * q + 10
             x_51 = 5 * (q1 + ql) + (5 * (tr - 3 * l) + 24) * q + 10
-            for name, d in (
-                ("[2,2,2,2]", 30 * x_a4),
-                ("[3,2]", 6 * x_52),
-                ("[5]", 6 * x_51),
-            ):
-                if is_positive_square(d):
-                    squares.append(f"q={q} cf={cf} third={name} D={d}")
-            if (q1 + ql + tr * q) % 3 != 0:
+            ds = (30 * x_a4, 6 * x_52, 6 * x_51)
+            hits = tuple(map(is_positive_square, ds))
+            trace_bad = (q1 + ql + tr * q) % 3 != 0
+            form_bad = x_a4 % 3 == 0 or x_52 % 3 == 0 or x_51 % 3 == 0
+            if True in hits or trace_bad or form_bad:
+                failed.append((cf_from_pair(q, q1).canonical(), ds, hits, trace_bad, form_bad))
+        failed.sort(key=lambda f: f[0].entries)
+        for cf, ds, hits, trace_bad, form_bad in failed:
+            squares.extend(
+                f"q={q} cf={cf} third={name} D={d}"
+                for name, d, hit in zip(_NOA2_THIRDS, ds, hits)
+                if hit
+            )
+            if trace_bad:
                 witness_failures.append(f"q={q} cf={cf}: trace criterion nonzero mod 3")
-            if any(x % 3 == 0 for x in (x_a4, x_52, x_51)):
+            if form_bad:
                 witness_failures.append(f"q={q} cf={cf}: some closed form divisible by 3")
 
     report.stages = [

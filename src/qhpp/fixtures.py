@@ -20,13 +20,28 @@ def fixtures_path() -> str | None:
     return os.environ.get(ENV_VAR)
 
 
+# the top-level tables some pipeline or check reads
+REQUIRED_KEYS = (
+    "table1", "q20", "small_q", "l11_cases", "step5", "step6", "gram",
+    "coeff_tables", "noA2_examples",
+)
+
+
 @lru_cache(maxsize=4)
 def _load(path: str | None) -> dict:
     if path:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    ref = resources.files("qhpp.data").joinpath("reference_tables.json")
-    return json.loads(ref.read_text(encoding="utf-8"))
+            data = json.load(fh)
+    else:
+        ref = resources.files("qhpp.data").joinpath("reference_tables.json")
+        data = json.loads(ref.read_text(encoding="utf-8"))
+    where = path or "the bundled reference tables"
+    if not isinstance(data, dict):
+        raise ValueError(f"{where}: reference tables must be a JSON object")
+    for key in REQUIRED_KEYS:
+        if key not in data:
+            raise ValueError(f"{where}: reference tables lack the key {key!r}")
+    return data
 
 
 def load_fixtures() -> dict:

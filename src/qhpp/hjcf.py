@@ -218,6 +218,30 @@ def enumerate_cfs_of_order(q: int) -> list[HjCf]:
     return [HjCf(e) for e in sorted(seen)]
 
 
+def _chain_shape(q: int, q1: int) -> tuple[int, int]:
+    """(trace, length) of the chain of q/q1 without building its entries.
+
+    One Hirzebruch-Jung Euclid pass, as in _expand_entries, except that a run
+    of entries 2 takes a single divmod: while the entry is 2, a - b stays
+    fixed at d, so from (a, b) with d <= b the run has b // d entries.
+    """
+    a, b = q, q1
+    trace = length = 0
+    while b:
+        d = a - b
+        if d <= b:
+            run, b = divmod(b, d)
+            trace += 2 * run
+            length += run
+            a = b + d
+        else:
+            n = -(-a // b)
+            trace += n
+            length += 1
+            a, b = b, n * b - a
+    return trace, length
+
+
 def _expand_entries(q: int, q1: int) -> tuple[int, ...]:
     entries = []
     a, b = q, q1

@@ -279,11 +279,18 @@ class DiophProblem:
         )
 
 
+# Search nodes solve_dioph may visit before it gives up.  The largest problem
+# the pipelines build has 410 leaves; a problem past this budget gets an
+# error, never a shortened solution list.
+DFS_NODE_BUDGET = 2_000_000
+
+
 def solve_dioph(problem: DiophProblem) -> list[tuple[int, ...]]:
     """The complete, lexicographically sorted solution list.
 
     Enumeration is a depth-first search over cleared-denominator integers;
-    an empty list is a normal outcome.
+    an empty list is a normal outcome.  Raises ValueError when the search
+    would visit more than DFS_NODE_BUDGET nodes.
     """
     n = len(problem.coeffs)
     den = lcm(
@@ -295,8 +302,15 @@ def solve_dioph(problem: DiophProblem) -> list[tuple[int, ...]]:
         return []
     solutions: list[tuple[int, ...]] = []
     vec = [0] * n
+    nodes = 0
 
     def dfs(i: int, remaining: int) -> None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > DFS_NODE_BUDGET:
+            raise ValueError(
+                f"Diophantine search exceeds its budget of {DFS_NODE_BUDGET:,} nodes"
+            )
         if i == n - 1:
             if remaining % cleared[i] == 0:
                 vec[i] = remaining // cleared[i]

@@ -40,6 +40,8 @@ def is_positive_square(x: Fraction | int) -> bool:
 
     Zero, negatives and non-integral rationals all fail.
     """
+    if type(x) is int:
+        return x > 0 and isqrt(x) ** 2 == x
     f = Fraction(x)
     return f > 0 and f.denominator == 1 and is_perfect_square(f.numerator)
 

@@ -116,6 +116,14 @@ def test_dioph_with_quad_filter(capsys):
     assert json.loads(out) == []
 
 
+def test_dioph_over_budget_is_input_error(capsys):
+    code, out, err = run(
+        capsys, "dioph", "--coeffs", "1/300,1/300,1/300,1/300", "--target", "1"
+    )
+    assert code == 2 and out == ""
+    assert err == "error: Diophantine search exceeds its budget of 2,000,000 nodes\n"
+
+
 def test_gram_star(capsys):
     code, out, _ = run(
         capsys, "gram", "--diag", "-1,-2,-3,-5", "--edges", "1-2,1-3,1-4"
@@ -215,6 +223,20 @@ def test_missing_fixture_file_is_input_error(capsys, tables):
     code, out, err = run(capsys, "enumerate", "--pipeline", "step5")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and str(tables) in err
+
+
+@pytest.mark.parametrize(
+    ("drop", "first_missing"), [(None, "table1"), ("noA2_examples", "noA2_examples")]
+)
+def test_fixture_file_without_a_table_is_input_error(capsys, tables, drop, first_missing):
+    data = {}
+    if drop:
+        data = json.loads(json.dumps(fx._load(None)))
+        del data[drop]
+    tables.write_text(json.dumps(data))
+    code, out, err = run(capsys, "enumerate", "--pipeline", "step5")
+    assert code == 2 and out == ""
+    assert err == f"error: {tables}: reference tables lack the key {first_missing!r}\n"
 
 
 CORRUPTED = {

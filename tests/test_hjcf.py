@@ -7,6 +7,7 @@ import pytest
 
 from qhpp.hjcf import (
     HjCf,
+    _chain_shape,
     cf_bump,
     cf_canonical,
     cf_deleted_det,
@@ -328,3 +329,12 @@ def test_evaluation_matches_fraction_oracle_small():
         assert (value.numerator, value.denominator) == (cf.q, cf.q1)
         if cf.l <= 8:
             assert det_oracle(cf.entries) == cf.q
+
+
+def test_chain_shape_matches_the_chain():
+    # every coprime pair with q <= 300, orders divisible by 2, 3 or 5 included
+    for q in range(2, 301):
+        for q1 in range(1, q):
+            if gcd(q, q1) == 1:
+                cf = cf_from_pair(q, q1)
+                assert _chain_shape(q, q1) == (cf.trace, cf.l), (q, q1)

@@ -6,6 +6,9 @@ from itertools import product
 
 import pytest
 
+import qhpp.obstruction as obstruction
+from qhpp import checks
+from qhpp.enumeration import l11_rationality_checks
 from qhpp.hjcf import HjCf
 from qhpp.obstruction import (
     CurveClass,
@@ -222,6 +225,30 @@ def test_solve_dioph_reference_instances():
     assert solve_dioph(three) == [(0, 1, 27), (1, 1, 16), (2, 1, 5)]
     case1 = DiophProblem((Fraction(1, 3), Fraction(3, 5)), Fraction(16, 15))
     assert solve_dioph(case1) == []
+
+
+def test_solve_dioph_budget(monkeypatch):
+    three = DiophProblem(
+        (Fraction(1, 3), Fraction(1, 5), Fraction(1, 33)), Fraction(56, 55)
+    )
+    # the search visits 18 nodes
+    monkeypatch.setattr(obstruction, "DFS_NODE_BUDGET", 18)
+    assert solve_dioph(three) == [(0, 1, 27), (1, 1, 16), (2, 1, 5)]
+    monkeypatch.setattr(obstruction, "DFS_NODE_BUDGET", 17)
+    with pytest.raises(ValueError, match="budget of 17 nodes"):
+        solve_dioph(three)
+
+
+def test_dioph_oracle_and_l11_fit_far_inside_the_budget(monkeypatch):
+    assert obstruction.DFS_NODE_BUDGET == 2_000_000
+    want = l11_rationality_checks()
+    # 2,000 times below the budget, every search still completes unchanged
+    monkeypatch.setattr(obstruction, "DFS_NODE_BUDGET", 1_000)
+    assert checks.check_dioph_oracle(n_random=1_000).ok
+    got = l11_rationality_checks()
+    assert (got.stages, got.details, got.mismatches) == (
+        want.stages, want.details, want.mismatches,
+    )
 
 
 def test_solve_dioph_three_variable_relaxations():

@@ -36,6 +36,16 @@ def test_is_positive_square():
     assert not is_positive_square(0)
     assert not is_positive_square(-4)
     assert not is_positive_square(260)
+    big = 10**40 + 7
+    assert is_positive_square(True)
+    assert not is_positive_square(False)
+    assert is_positive_square(big * big)
+    assert not is_positive_square(big * big + 1)
+    assert not is_positive_square(big * big - 1)
+    assert not is_positive_square(-big * big)
+    for n in (1, 4, 9216, big * big, 0, -4, 260, big * big + 1):
+        assert is_positive_square(Fraction(n, 1)) == is_positive_square(n)
+    assert not is_positive_square(Fraction(big * big, 4))
 
 
 def test_rational_sqrt():
