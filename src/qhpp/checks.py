@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 from .hjcf import (
     HjCf,
@@ -97,6 +97,37 @@ def check_cf_identities(q_max: int = 200) -> CheckResult:
     )
 
 
+def _uv_holds(cf: HjCf, z: dict[int, int]) -> bool:
+    """sum (u_j+v_j) z_j <= sum (u_j v_j) z_j^2 + slack(sum z) for one z."""
+    total = sum(z.values())
+    if total == 0:
+        return True
+    lhs = sum((cf.u_seq[j] + cf.v_seq[j]) * x for j, x in z.items())
+    rhs = sum(cf.u_seq[j] * cf.v_seq[j] * x * x for j, x in z.items())
+    slack = 1 if total == 1 else 2 if total == 2 else 0
+    return lhs <= rhs + slack
+
+
+def _uv_chain_failures(cf: HjCf) -> list[str]:
+    """The unit vectors z = x e_j (x = 1, 2, 3) and, for l <= 30, the pairs
+    e_i + e_j that break the weighted inequality on one chain.  With
+    s = u_j+v_j and p = u_j v_j they are the integer inequalities s <= p+1,
+    2s <= 4p+2, 3s <= 9p and s_i+s_j <= p_i+p_j+2."""
+    u, v, l = cf.u_seq, cf.v_seq, cf.l
+    s = [0] + [u[j] + v[j] for j in range(1, l + 1)]
+    p = [0] + [u[j] * v[j] for j in range(1, l + 1)]
+    bad = []
+    for j in range(1, l + 1):
+        if s[j] > p[j] + 1 or 2 * s[j] > 4 * p[j] + 2 or 3 * s[j] > 9 * p[j]:
+            bad.append(f"{cf}: unit z at {j}")
+    if l <= 30:
+        for i in range(1, l + 1):
+            for j in range(i + 1, l + 1):
+                if s[i] + s[j] > p[i] + p[j] + 2:
+                    bad.append(f"{cf}: pair z at {i},{j}")
+    return bad
+
+
 def check_uv_inequalities(q_max: int = 200, n_random: int = 10_000, seed: int = 2023) -> CheckResult:
     """Weighted inequalities sum (u_j+v_j) z_j <= sum (u_j v_j) z_j^2 (+2 when
     sum z = 2, +1 when sum z = 1) for chains of length >= 5.
@@ -105,30 +136,10 @@ def check_uv_inequalities(q_max: int = 200, n_random: int = 10_000, seed: int = 
     doubled-unit vectors and a deterministic family of pairs; n_random
     additional (chain, z) pairs with larger support are drawn from a fixed
     seed."""
-    def slack(total: int) -> int:
-        return 1 if total == 1 else 2 if total == 2 else 0
-
-    def holds(cf: HjCf, z: dict[int, int]) -> bool:
-        total = sum(z.values())
-        if total == 0:
-            return True
-        lhs = sum((cf.u_seq[j] + cf.v_seq[j]) * x for j, x in z.items())
-        rhs = sum(cf.u_seq[j] * cf.v_seq[j] * x * x for j, x in z.items())
-        return lhs <= rhs + slack(total)
-
     bad = []
     cfs = [cf for cf in _all_cfs(q_max) if cf.l >= 5]
     for cf in cfs:
-        l = cf.l
-        for j in range(1, l + 1):
-            if not holds(cf, {j: 1}) or not holds(cf, {j: 2}) or not holds(cf, {j: 3}):
-                bad.append(f"{cf}: unit z at {j}")
-        pair_range = range(1, l + 1) if l <= 30 else None
-        if pair_range is not None:
-            for i in pair_range:
-                for j in range(i + 1, l + 1):
-                    if not holds(cf, {i: 1, j: 1}):
-                        bad.append(f"{cf}: pair z at {i},{j}")
+        bad = _uv_chain_failures(cf)
         if bad:
             break
     rng = random.Random(seed)
@@ -136,7 +147,7 @@ def check_uv_inequalities(q_max: int = 200, n_random: int = 10_000, seed: int = 
         cf = rng.choice(cfs)
         support = rng.sample(range(1, cf.l + 1), k=min(cf.l, rng.randint(1, 4)))
         z = {j: rng.randint(0, 4) for j in support}
-        if not holds(cf, z):
+        if not _uv_holds(cf, z):
             bad.append(f"{cf}: random z {z}")
             break
     return CheckResult(
@@ -181,15 +192,17 @@ def check_dp_closed_form(q_max: int = 200) -> CheckResult:
             if l == 1 and Fraction(closed, q * q) != -Fraction((n[0] - 2) ** 2, n[0]):
                 return CheckResult("dp_closed_form", False, f"l=1 form at {cf}")
             if l <= 12:
-                coeffs = dp_data(cf).dp_coeffs
-                dense = Fraction(0)
+                data = dp_data(cf)
+                # q * coeff_j: the dense form is an integer over q^2
+                nums = [c.numerator * (q // c.denominator) for c in data.dp_coeffs]
+                dense = 0
                 for i in range(l):
                     for j in range(l):
                         if i == j:
-                            dense += coeffs[i] * coeffs[j] * (-n[i])
+                            dense += nums[i] * nums[j] * (-n[i])
                         elif abs(i - j) == 1:
-                            dense += coeffs[i] * coeffs[j]
-                if dense != dp_data(cf).dp_sq:
+                            dense += nums[i] * nums[j]
+                if Fraction(dense, q * q) != data.dp_sq:
                     return CheckResult("dp_closed_form", False, f"dense form at {cf}")
     return CheckResult("dp_closed_form", True, f"{checked} chains, orders 2..{q_max}")
 
@@ -332,25 +345,35 @@ def check_reversal_invariance(n_random: int = 500, seed: int = 2026) -> CheckRes
 
 
 def _brute_force_dioph(problem: DiophProblem) -> list[tuple[int, ...]]:
-    """Grid oracle: full box enumeration with bounds target/coeff."""
-    bounds = [int(problem.target / c) for c in problem.coeffs]
-    out = []
-    for vec in product(*(range(b + 1) for b in bounds)):
-        total = sum((c * x for c, x in zip(problem.coeffs, vec)), start=Fraction(0))
-        if total != problem.target:
-            continue
-        ok = all(
-            sum((problem.coeffs[i] * vec[i] for i in idx), start=Fraction(0)) == exact
-            for idx, exact in problem.group_constraints
+    """Grid oracle: the full box 0 <= x_i <= target/coeff_i, every point
+    tested in integers.  One lcm clears the target, the coefficients and the
+    group sums, another the quadratic coefficients and their bound; no code
+    is shared with solve_dioph."""
+    den = lcm(
+        problem.target.denominator,
+        *(c.denominator for c in problem.coeffs),
+        *(exact.denominator for _, exact in problem.group_constraints),
+    )
+    coeffs = [int(c * den) for c in problem.coeffs]
+    target = int(problem.target * den)
+    groups = [(idx, int(exact * den)) for idx, exact in problem.group_constraints]
+    quads = None
+    if problem.quad_coeffs is not None:
+        qden = lcm(
+            problem.quad_bound.denominator,
+            *(c.denominator for c in problem.quad_coeffs),
         )
-        if ok and problem.quad_coeffs is not None:
-            qsum = sum(
-                (qc * x * x for qc, x in zip(problem.quad_coeffs, vec)),
-                start=Fraction(0),
-            )
-            ok = qsum <= problem.quad_bound
-        if ok:
-            out.append(vec)
+        quads = [int(c * qden) for c in problem.quad_coeffs]
+        quad_bound = int(problem.quad_bound * qden)
+    out = []
+    for vec in product(*(range(target // a + 1) for a in coeffs)):
+        if sum(a * x for a, x in zip(coeffs, vec)) != target:
+            continue
+        if any(sum(coeffs[i] * vec[i] for i in idx) != exact for idx, exact in groups):
+            continue
+        if quads is not None and sum(b * x * x for b, x in zip(quads, vec)) > quad_bound:
+            continue
+        out.append(vec)
     return out
 
 

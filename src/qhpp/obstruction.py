@@ -100,9 +100,11 @@ def degree_sum(curve: CurveClass) -> Fraction:
     """sum_p sum_j (1 - (v_j+u_j)/q) E.A(j,p), the adjunction-weighted degree."""
     total = Fraction(0)
     for sing, row in zip(curve.cand.sings, curve.incidence.rows):
-        for coeff, ea in zip(sing.dp_coeffs, row):
-            if ea:
-                total += coeff * ea
+        q, u, v = sing.q, sing.cf.u_seq, sing.cf.v_seq
+        # one integer numerator over q per chain
+        num = sum((q - u[j] - v[j]) * ea for j, ea in enumerate(row, 1) if ea)
+        if num:
+            total += Fraction(num, q)
     return total
 
 
@@ -140,18 +142,33 @@ def ek_formula(curve: CurveClass) -> Fraction:
     return _leading_ek_term(curve) - degree_sum(curve)
 
 
+def _leading_esq_term(curve: CurveClass) -> Fraction:
+    """(m^2/D') K^2, the leading term of E^2; needs D' to be a rational square."""
+    if curve.m == 0:
+        return Fraction(0)
+    rational_sqrt(curve.cand.d_prime)
+    return Fraction(curve.m * curve.m) / curve.cand.d_prime * curve.cand.ks2
+
+
 def esq_formula(curve: CurveClass) -> Fraction:
-    """E^2 from the full double sum of local discrepancies."""
-    lead = Fraction(0)
-    if curve.m != 0:
-        rational_sqrt(curve.cand.d_prime)
-        lead = Fraction(curve.m * curve.m) / curve.cand.d_prime * curve.cand.ks2
+    """E^2 from the full double sum of local discrepancies.
+
+    Each chain's share, sum_j EA_j * local_discrepancy(j), is summed as one
+    integer numerator over q.
+    """
+    lead = _leading_esq_term(curve)
     total = Fraction(0)
     for sing, row in zip(curve.cand.sings, curve.incidence.rows):
-        for j in range(1, sing.l + 1):
-            ea = row[j - 1]
-            if ea:
-                total += local_discrepancy(sing, row, j) * ea
+        u, v = sing.cf.u_seq, sing.cf.v_seq
+        num = 0
+        for j, ea_j in enumerate(row, 1):
+            if not ea_j:
+                continue
+            for k, ea_k in enumerate(row, 1):
+                if ea_k:
+                    num += (v[j] * u[k] if k <= j else v[k] * u[j]) * ea_k * ea_j
+        if num:
+            total += Fraction(num, sing.q)
     return lead - total
 
 
@@ -161,10 +178,7 @@ def esq_two_component(curve: CurveClass) -> Fraction:
     Must agree with esq_formula wherever it applies; rejects incidences with
     three or more nonzero entries on one chain.
     """
-    lead = Fraction(0)
-    if curve.m != 0:
-        rational_sqrt(curve.cand.d_prime)
-        lead = Fraction(curve.m * curve.m) / curve.cand.d_prime * curve.cand.ks2
+    lead = _leading_esq_term(curve)
     total = Fraction(0)
     for sing, row in zip(curve.cand.sings, curve.incidence.rows):
         support = [j for j in range(1, sing.l + 1) if row[j - 1]]
@@ -172,17 +186,17 @@ def esq_two_component(curve: CurveClass) -> Fraction:
             raise ValueError(
                 f"chain {sing.cf} carries {len(support)} hits; at most 2 allowed"
             )
-        cf = sing.cf
-        q = sing.q
+        u, v = sing.cf.u_seq, sing.cf.v_seq
+        num = 0
         if len(support) >= 1:
             s = support[0]
-            ea_s = row[s - 1]
-            total += Fraction(cf.v_seq[s] * cf.u_seq[s], q) * ea_s * ea_s
+            num += v[s] * u[s] * row[s - 1] ** 2
         if len(support) == 2:
             s, t = support
             ea_s, ea_t = row[s - 1], row[t - 1]
-            total += Fraction(cf.v_seq[t] * cf.u_seq[t], q) * ea_t * ea_t
-            total += 2 * Fraction(cf.v_seq[t] * cf.u_seq[s], q) * ea_s * ea_t
+            num += v[t] * u[t] * ea_t * ea_t + 2 * v[t] * u[s] * ea_s * ea_t
+        if num:
+            total += Fraction(num, sing.q)
     return lead - total
 
 

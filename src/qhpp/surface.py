@@ -23,6 +23,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from .hjcf import HjCf, parse_cf
@@ -67,27 +68,33 @@ def dp_data(cf: HjCf | str) -> CyclicSing:
     The coefficient of the j-th curve is 1 - (v_j + u_j)/q, each in [0, 1).
     Dp.K = sum coeff_j * (n_j - 2) = -Dp^2, and the value is cross-checked
     against the closed form 2l - trace + 2 - (q1 + ql + 2)/q at construction.
+    Results are memoised per chain (the suites and scans ask for a few
+    hundred distinct chains thousands of times).
     """
     if isinstance(cf, str):
         cf = parse_cf(cf)
     if not cf.entries:
         raise ValueError("dp_data needs a nonempty chain")
-    q = cf.q
-    coeffs = tuple(
-        1 - Fraction(cf.v_seq[j] + cf.u_seq[j], q) for j in range(1, cf.l + 1)
-    )
-    dot_k = sum(
-        (c * (n - 2) for c, n in zip(coeffs, cf.entries)), start=Fraction(0)
-    )
-    closed = 2 * cf.l - cf.trace + 2 - Fraction(cf.q1 + cf.ql + 2, q)
-    if -dot_k != closed:
+    return _dp_data(cf)
+
+
+@lru_cache(maxsize=512)
+def _dp_data(cf: HjCf) -> CyclicSing:
+    q, u, v = cf.q, cf.u_seq, cf.v_seq
+    # q * coeff_j, so that Dp.K is one integer numerator over q
+    nums = [q - v[j] - u[j] for j in range(1, cf.l + 1)]
+    dot_k_num = sum(c * (n - 2) for c, n in zip(nums, cf.entries))
+    closed_num = (2 * cf.l - cf.trace + 2) * q - (cf.q1 + cf.ql + 2)
+    if -dot_k_num != closed_num:
         raise AssertionError(
-            f"adjunction data inconsistent for {cf}: {-dot_k} != {closed}"
+            f"adjunction data inconsistent for {cf}: "
+            f"{Fraction(-dot_k_num, q)} != {Fraction(closed_num, q)}"
         )
+    dot_k = Fraction(dot_k_num, q)
     return CyclicSing(
         cf=cf,
         q=q,
-        dp_coeffs=coeffs,
+        dp_coeffs=tuple(Fraction(c, q) for c in nums),
         dp_dot_k=dot_k,
         dp_sq=-dot_k,
         ep_sq=-Fraction(cf.ql, q),

@@ -239,6 +239,27 @@ def test_fixture_file_without_a_table_is_input_error(capsys, tables, drop, first
     assert err == f"error: {tables}: reference tables lack the key {first_missing!r}\n"
 
 
+@pytest.mark.parametrize(
+    ("table", "value", "message"),
+    [
+        ("table1", 5, "table1 must be a JSON object, got number"),
+        ("coeff_tables", [], "coeff_tables must be a JSON object, got array"),
+        ("gram", 5, "gram must be a JSON array, got number"),
+        ("l11_cases", 5, "l11_cases must be a JSON array, got number"),
+        ("noA2_examples", 5, "noA2_examples must be a JSON array, got number"),
+        ("step6", {}, "reference tables lack the key 'step6.rules'"),
+        ("q20", {}, "reference tables lack the key 'q20.stage_counts'"),
+    ],
+)
+def test_fixture_table_of_the_wrong_shape_is_input_error(capsys, tables, table, value, message):
+    data = json.loads(json.dumps(fx._load(None)))
+    data[table] = value
+    tables.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", "--all")
+    assert code == 2 and out == ""
+    assert err == f"error: {tables}: {message}\n"
+
+
 CORRUPTED = {
     "table1": [
         "table1: row 1 ks2 computed 1536/91, fixture 1/2",
