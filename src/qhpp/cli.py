@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -304,11 +305,18 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built on its first call and then reused: a
+    parse keeps no state in the parser, and usage, help and error text look
+    up the output streams and the terminal width when they print."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        args = parser.parse_args(_merge_negative_values(argv))
+        args = _parser().parse_args(_merge_negative_values(argv))
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:

@@ -20,18 +20,34 @@ def fixtures_path() -> str | None:
     return os.environ.get(ENV_VAR)
 
 
-# the tables some pipeline or check reads: the JSON type of each, and the
-# JSON type of each first-level key read from it
+# The JSON shape of every value some pipeline or check reads.  A spec is a
+# type (`object` takes any value, for cells that are only compared), a dict
+# of required keys (a key ending in "?" may be absent; "*" stands for every
+# key), a one-element list for an array of such elements, or a tuple for an
+# array of exactly those elements.
+_ROW = {"no": int, "sings": [str], "ks2": object, "cmp": object, "three_e_orb": object}
+_SWEEP = {
+    "ks2": object, "sqrt_D": object,
+    "branches": [{"meets": [str], "value": str, "m?": str, "outcome": str}],
+}
 SCHEMA = {
-    "table1": (dict, {"stage_counts": dict, "rows": list}),
-    "q20": (dict, {"stage_counts": dict, "case_tallies": list, "rows": list, "bmy_rows": list}),
-    "small_q": (dict, {"stage_counts": dict, "rows": list, "bmy_rows": list}),
-    "l11_cases": (list, {}),
-    "step5": (dict, {"sub_cases": list}),
-    "step6": (dict, {"rules": dict, "case15": dict, "case23": dict, "case24": dict}),
-    "gram": (list, {}),
-    "coeff_tables": (dict, {}),
-    "noA2_examples": (list, {}),
+    "table1": {"stage_counts": dict, "rows": [_ROW]},
+    "q20": {"stage_counts": dict, "case_tallies": list, "rows": [_ROW], "bmy_rows": list},
+    "small_q": {"stage_counts": dict, "rows": [_ROW], "bmy_rows": list},
+    "l11_cases": [{
+        "case": object, "row": int, "c": int, "D": object, "D_prime": object,
+        "m_bound": object, "m_values": object, "eliminated_by": object,
+    }],
+    "step5": {
+        "sub_cases": [{"p3": str, "l_nj": [(int, int)], "tally": object, "survivors": object}],
+    },
+    "step6": {
+        "rules": {"A": object, "B": object, "C": object, "residual": object},
+        "case15": _SWEEP, "case23": _SWEEP, "case24": {"L": object, "required": object},
+    },
+    "gram": [{"name": object, "diag": [int], "edges": [(int, int)]}],
+    "coeff_tables": {"*": {"sings": [str], "coeffs": [[str]], "quad?": [[str]]}},
+    "noA2_examples": [{"q": object, "cf": str, "third": str, "D": object}],
 }
 
 _JSON_TYPES = {
@@ -42,26 +58,43 @@ _JSON_TYPES = {
 
 def _check_schema(data, where: str) -> None:
     """Raise ValueError naming the file and the dotted path of the first
-    table or first-level key that is missing or has the wrong JSON type."""
+    value, in the order of ``SCHEMA``, that is missing or has the wrong
+    JSON shape."""
 
-    def expect(value, kind: type, path: str) -> None:
-        if not isinstance(value, kind):
-            raise ValueError(
-                f"{where}: {path} must be a JSON {_JSON_TYPES[kind]}, "
-                f"got {_JSON_TYPES[type(value)]}"
-            )
+    def fail(path: str, want: str, value) -> None:
+        raise ValueError(f"{where}: {path} must be {want}, got {_JSON_TYPES[type(value)]}")
+
+    def check(value, spec, path: str) -> None:
+        if isinstance(spec, dict):
+            if not isinstance(value, dict):
+                fail(path, "a JSON object", value)
+            for key, sub in spec.items():
+                if key == "*":
+                    for name, item in value.items():
+                        check(item, sub, f"{path}.{name}")
+                    continue
+                key, optional = key.removesuffix("?"), key.endswith("?")
+                name = f"{path}.{key}" if path else key
+                if key in value:
+                    check(value[key], sub, name)
+                elif not optional:
+                    raise ValueError(f"{where}: reference tables lack the key {name!r}")
+        elif isinstance(spec, tuple):
+            if not isinstance(value, list) or len(value) != len(spec):
+                fail(path, f"a JSON array of {len(spec)} items", value)
+            for i, (item, sub) in enumerate(zip(value, spec)):
+                check(item, sub, f"{path}[{i}]")
+        elif isinstance(spec, list):
+            if not isinstance(value, list):
+                fail(path, "a JSON array", value)
+            for i, item in enumerate(value):
+                check(item, spec[0], f"{path}[{i}]")
+        elif not isinstance(value, spec):
+            fail(path, "a JSON integer" if spec is int else f"a JSON {_JSON_TYPES[spec]}", value)
 
     if not isinstance(data, dict):
         raise ValueError(f"{where}: reference tables must be a JSON object")
-    for key, (kind, fields) in SCHEMA.items():
-        if key not in data:
-            raise ValueError(f"{where}: reference tables lack the key {key!r}")
-        expect(data[key], kind, key)
-        for field, field_kind in fields.items():
-            path = f"{key}.{field}"
-            if field not in data[key]:
-                raise ValueError(f"{where}: reference tables lack the key {path!r}")
-            expect(data[key][field], field_kind, path)
+    check(data, SCHEMA, "")
 
 
 @lru_cache(maxsize=4)

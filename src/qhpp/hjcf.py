@@ -242,6 +242,26 @@ def _chain_shape(q: int, q1: int) -> tuple[int, int]:
     return trace, length
 
 
+def _dedekind12(h: int, k: int) -> int:
+    """12·k·s(h, k) for coprime h and k >= 1, where s is the Dedekind sum.
+
+    By reciprocity, h·D(h, k) + k·D(k, h) = h² + k² + 1 - 3hk for D(h, k) =
+    12·k·s(h, k), and D(h, k) depends on h mod k only.  One Euclid pass
+    records the pairs down to k = 1, where D = 0; the pairs are then solved
+    back up in integers.  It owes nothing to Hirzebruch-Jung expansion, which
+    makes it an independent oracle for the closed forms of the noA2 scan.
+    """
+    pairs = []
+    h %= k
+    while k > 1:
+        pairs.append((h, k))
+        h, k = k % h, h
+    d = 0
+    for h, k in reversed(pairs):
+        d = (h * h + k * k + 1 - 3 * h * k - k * d) // h
+    return d
+
+
 def _expand_entries(q: int, q1: int) -> tuple[int, ...]:
     entries = []
     a, b = q, q1

@@ -1,11 +1,16 @@
 """Command-line interface behavior: outputs, formats, exit codes."""
 
+import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import qhpp
 import qhpp.fixtures as fx
 from qhpp.cli import main
 
@@ -260,6 +265,32 @@ def test_fixture_table_of_the_wrong_shape_is_input_error(capsys, tables, table, 
     assert err == f"error: {tables}: {message}\n"
 
 
+@pytest.mark.parametrize(
+    ("path", "value", "message"),
+    [
+        (("table1", "rows", 0), 5, "table1.rows[0] must be a JSON object, got number"),
+        (("gram", 0), 5, "gram[0] must be a JSON object, got number"),
+        (("noA2_examples", 0), 5, "noA2_examples[0] must be a JSON object, got number"),
+        (("step6", "case24"), {}, "reference tables lack the key 'step6.case24.L'"),
+        (("l11_cases", 0), {}, "reference tables lack the key 'l11_cases[0].case'"),
+        (("step5", "sub_cases", 0), {}, "reference tables lack the key 'step5.sub_cases[0].p3'"),
+    ],
+)
+def test_nested_fixture_value_of_the_wrong_shape_is_input_error(
+    capsys, tables, path, value, message
+):
+    data = json.loads(json.dumps(fx._load(None)))
+    *parents, last = path
+    target = data
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    tables.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", "--all")
+    assert code == 2 and out == ""
+    assert err == f"error: {tables}: {message}\n"
+
+
 CORRUPTED = {
     "table1": [
         "table1: row 1 ks2 computed 1536/91, fixture 1/2",
@@ -315,3 +346,54 @@ def test_missing_subcommand_is_usage_error(capsys):
 
 def test_verify_requires_all_flag(capsys):
     assert main(["verify"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# one parser for every call of main
+# ---------------------------------------------------------------------------
+
+# every subcommand, text, JSON and CSV output, a mismatch, the negative-value
+# merge, usage errors, help text and a ValueError from a command
+REQUESTS = [
+    ["cf-info", "19/9"],
+    ["cf-info", "[3,2]", "--format", "json"],
+    ["candidate", "--sings", "[2],[2,2],[7],[13]"],
+    ["enumerate", "--pipeline", "step5"],
+    ["enumerate", "--pipeline", "noA2", "--cap", "60", "--format", "json"],
+    ["enumerate", "--pipeline", "q20", "--format", "csv"],
+    ["dioph", "--coeffs", "1/3,1/5,1/33", "--target", "56/55"],
+    ["dioph", "--coeffs", "1/3,1/5,1/33", "--target", "56/55",
+     "--quad", "1/3,3/5,4/33", "--quad-bound", "111/110"],
+    ["gram", "--diag", "-1,-2,-3,-5", "--edges", "1-2,1-3,1-4"],
+    ["candidate"],
+    ["enumerate", "--pipeline", "nope"],
+    ["verify"],
+    ["--help"],
+    ["verify", "--help"],
+    ["cf-info", "[1]"],
+    ["enumerate", "--pipeline", "table1", "--cap", "7"],
+    [],
+]
+
+
+def test_reused_parser_answers_as_a_fresh_interpreter(monkeypatch):
+    # help and usage text wrap at the terminal width, which COLUMNS fixes
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv(fx.ENV_VAR, raising=False)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qhpp.__file__)))
+    fresh = []
+    for argv in REQUESTS:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qhpp.cli", *argv],
+            capture_output=True, env=env, check=False,
+        )
+        fresh.append((proc.returncode, proc.stdout.decode(), proc.stderr.decode()))
+    assert {rc for rc, _, _ in fresh} == {0, 1, 2}
+    for order in (range(len(REQUESTS)), reversed(range(len(REQUESTS)))):
+        for i in order:
+            # new streams for every call, so text sent to a stream an
+            # earlier call saw is lost
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(REQUESTS[i])
+            assert (code, out.getvalue(), err.getvalue()) == fresh[i], REQUESTS[i]

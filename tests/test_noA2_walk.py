@@ -1,17 +1,21 @@
-"""The integer unit-pair walk of the noA2 scan against the HjCf chain loop.
+"""The integer unit-pair walk of the noA2 scan against two oracles.
 
 ``reference_scan`` is the scan's loop as it ran over the canonical chains of
-``enumerate_cfs_of_order``, kept here as the oracle.  The walk visits each
-class as a unit q1 <= q1^-1 mod q and builds no chain, so the tests record
-what it visits and compare with the oracle.
+``enumerate_cfs_of_order``.  The walk visits each class as a unit
+q1 <= q1^-1 mod q and builds no chain, so the tests record what it visits
+and compare with the oracle.  The second oracle is the Dedekind sum
+``_dedekind12``, computed by reciprocity with no chain at all.
 """
 
 from collections import Counter
-from math import gcd
+from fractions import Fraction
+from math import floor, gcd
+
+import pytest
 
 import qhpp.enumeration as enumeration
 from qhpp.enumeration import noA2_scan
-from qhpp.hjcf import _chain_shape, cf_from_pair, enumerate_cfs_of_order
+from qhpp.hjcf import _chain_shape, _dedekind12, cf_from_pair, enumerate_cfs_of_order
 
 
 def reference_scan(q_cap, shift=frozenset()):
@@ -96,3 +100,65 @@ def test_failure_lines_match_the_reference_text_and_order(monkeypatch):
     assert [w.split(":")[0] for w in ref_witness[:4:2]] == [
         "q=7 cf=[2,2,2,2,2,2]", "q=7 cf=[7]",
     ]
+
+
+# ---------------------------------------------------------------------------
+# the closed forms as Dedekind sums
+# ---------------------------------------------------------------------------
+
+
+def sawtooth(x):
+    """((x)) of the Dedekind sum: x - floor(x) - 1/2, and 0 at integers."""
+    return Fraction(0) if x.denominator == 1 else x - floor(x) - Fraction(1, 2)
+
+
+def test_dedekind12_matches_the_definition_below_60():
+    for k in range(1, 60):
+        for h in range(k):
+            if gcd(h, k) != 1:
+                continue
+            s = sum(sawtooth(Fraction(i, k)) * sawtooth(Fraction(h * i, k)) for i in range(1, k))
+            # s(h, k) depends on h mod k only
+            assert _dedekind12(h, k) == _dedekind12(h + k, k) == _dedekind12(h - k, k)
+            assert _dedekind12(h, k) == 12 * k * s, (h, k)
+
+
+@pytest.fixture(scope="module")
+def walk_to_2000():
+    """Run the cap-2000 scan once, checking each visited unit pair against
+    _dedekind12: (classes visited, the scan's report, pairs where
+    q1 + ql + (trace - 3l)*q differs from S = 12*q*s(q1, q), pairs where S or
+    one of the three closed forms breaks the mod-3 witness)."""
+    visited = 0
+    identity_failures, congruence_failures = [], []
+
+    def shape(q, q1):
+        nonlocal visited
+        tr, l = _chain_shape(q, q1)
+        visited += 1
+        s = _dedekind12(q1, q)
+        if q1 + pow(q1, -1, q) + (tr - 3 * l) * q != s:
+            identity_failures.append((q, q1))
+        forms = (s + 2, 5 * s + 12 * q + 10, 5 * s + 24 * q + 10)
+        if s % 3 != 0 or tuple(x % 3 for x in forms) != (2, 1, 1):
+            congruence_failures.append((q, q1))
+        return tr, l
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(enumeration, "_chain_shape", shape)
+        report = noA2_scan(2000)
+    return visited, report, identity_failures, congruence_failures
+
+
+def test_closed_forms_are_dedekind_sums_up_to_cap_2000(walk_to_2000):
+    visited, report, identity_failures, _ = walk_to_2000
+    assert visited == dict(report.stages)["cfs"] == 254_743
+    assert identity_failures == []
+
+
+def test_mod3_witness_is_the_dedekind_congruence_up_to_cap_2000(walk_to_2000):
+    # 12*q*s(q1, q) is divisible by 3 whenever 3 does not divide q, which
+    # makes the forms 2, 1 and 1 mod 3 for every order, not only below a cap
+    _, report, _, congruence_failures = walk_to_2000
+    assert congruence_failures == []
+    assert report.details["mod3_witness_ok"] is True

@@ -2,13 +2,15 @@
 
     python3 tools/snapshot_outputs.py DIR [--root CHECKOUT]
 
-Runs ``qhpp verify --all`` and ``qhpp enumerate --pipeline P --format F``
-for every pipeline P and every format F, each in a fresh interpreter on the
-``src/`` of CHECKOUT (default: the checkout holding this script), with the
-bundled reference tables.  Each file holds the command's stdout followed by
-a line ``rc=N`` with its exit code.  A refactor keeps these bytes: snapshot
-the parent and the change into two directories and compare them with
-``diff -r``.
+Runs ``qhpp verify --all``, ``qhpp enumerate --pipeline P --format F`` for
+every pipeline P and every format F, and a fixed set of single requests
+(``cf-info``, ``candidate``, ``gram``, ``dioph``, a usage error and
+``--help``), each in a fresh interpreter on the ``src/`` of CHECKOUT
+(default: the checkout holding this script), with the bundled reference
+tables and an 80-column terminal width.  Each file holds the command's
+stdout, then its stderr, then a line ``rc=N`` with its exit code.  A
+refactor keeps these bytes: snapshot the parent and the change into two
+directories and compare them with ``diff -r``.
 """
 
 from __future__ import annotations
@@ -21,6 +23,19 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PIPELINES = ("table1", "q20", "small-q", "l11", "step5", "step6", "noA2")
 FORMATS = ("json", "csv", "text")
+REQUESTS = {
+    "cf-info-text.txt": ["cf-info", "19/9"],
+    "cf-info-json.txt": ["cf-info", "[3,2,2]", "--format", "json"],
+    "candidate.txt": ["candidate", "--sings", "[2],[2,2],[7],[13]"],
+    "gram-negative-diag.txt": ["gram", "--diag", "-1,-2,-3,-5", "--edges", "1-2,1-3,1-4"],
+    "dioph.txt": ["dioph", "--coeffs", "1/3,1/5,1/33", "--target", "56/55"],
+    "dioph-quad.txt": [
+        "dioph", "--coeffs", "1/3,1/5,1/33", "--target", "56/55",
+        "--quad", "1/3,3/5,4/33", "--quad-bound", "111/110",
+    ],
+    "usage-error.txt": ["candidate"],
+    "help.txt": ["--help"],
+}
 
 
 def commands() -> dict[str, list[str]]:
@@ -31,7 +46,7 @@ def commands() -> dict[str, list[str]]:
             out[f"enumerate-{pipeline}-{fmt}.txt"] = [
                 "enumerate", "--pipeline", pipeline, "--format", fmt,
             ]
-    return out
+    return {**out, **REQUESTS}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -42,14 +57,16 @@ def main(argv: list[str] | None = None) -> int:
     env = dict(os.environ)
     env.pop("QHPP_FIXTURES", None)
     env["PYTHONPATH"] = os.path.join(os.path.abspath(args.root), "src")
+    env["COLUMNS"] = "80"
     os.makedirs(args.dir, exist_ok=True)
     for name, cli_args in commands().items():
         proc = subprocess.run(
             [sys.executable, "-m", "qhpp.cli", *cli_args],
-            stdout=subprocess.PIPE, env=env, cwd=args.root, check=False,
+            capture_output=True, env=env, cwd=args.root, check=False,
         )
         with open(os.path.join(args.dir, name), "wb") as fh:
             fh.write(proc.stdout)
+            fh.write(proc.stderr)
             fh.write(f"rc={proc.returncode}\n".encode())
     return 0
 
