@@ -8,12 +8,10 @@ and the exhaustive candidate-enumeration pipelines built from them.
 from .hjcf import (
     HjCf,
     cf_bump,
-    cf_canonical,
     cf_deleted_det,
     cf_evaluate,
     cf_from_pair,
     cf_mod3_criterion,
-    cf_reverse,
     enumerate_cfs_by_shape,
     enumerate_cfs_of_order,
     parse_cf,
@@ -50,12 +48,10 @@ __version__ = "1.0.0"
 __all__ = [
     "HjCf",
     "cf_bump",
-    "cf_canonical",
     "cf_deleted_det",
     "cf_evaluate",
     "cf_from_pair",
     "cf_mod3_criterion",
-    "cf_reverse",
     "enumerate_cfs_by_shape",
     "enumerate_cfs_of_order",
     "parse_cf",

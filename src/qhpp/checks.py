@@ -10,6 +10,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from typing import Iterator
 from math import gcd, lcm
 
 from .hjcf import (
@@ -42,11 +43,11 @@ class CheckResult:
     detail: str
 
 
-def _all_cfs(q_max: int) -> list[HjCf]:
-    out = []
+def _all_cfs(q_max: int) -> Iterator[HjCf]:
+    """Every chain of order 2..q_max, one order at a time, so that no suite
+    holds the whole corpus while it fills the dp_data memo."""
     for q in range(2, q_max + 1):
-        out.extend(enumerate_cfs_of_order(q))
-    return out
+        yield from enumerate_cfs_of_order(q)
 
 
 def check_cf_identities(q_max: int = 200) -> CheckResult:
@@ -55,8 +56,9 @@ def check_cf_identities(q_max: int = 200) -> CheckResult:
     <= q_max.  Bump orders are recomputed by direct evaluation (all j for
     short chains, sampled j for long ones)."""
     bad = []
-    cfs = _all_cfs(q_max)
-    for cf in cfs:
+    count = 0
+    for cf in _all_cfs(q_max):
+        count += 1
         q, l, u, v = cf.q, cf.l, cf.u_seq, cf.v_seq
         n = cf.entries
         for j in range(1, l + 1):
@@ -93,7 +95,7 @@ def check_cf_identities(q_max: int = 200) -> CheckResult:
     return CheckResult(
         "cf_identities",
         not bad,
-        bad[0] if bad else f"{len(cfs)} chains, orders 2..{q_max}",
+        bad[0] if bad else f"{count} chains, orders 2..{q_max}",
     )
 
 
@@ -161,11 +163,10 @@ def check_mod3(q_max: int = 200) -> CheckResult:
     """The trace criterion is nonzero mod 3 exactly when 3 divides the order,
     exhaustively for all orders <= q_max."""
     count = 0
-    for q in range(2, q_max + 1):
-        for cf in enumerate_cfs_of_order(q):
-            count += 1
-            if cf_mod3_criterion(cf) != (q % 3 == 0):
-                return CheckResult("mod3_criterion", False, f"fails at {cf}")
+    for cf in _all_cfs(q_max):
+        count += 1
+        if cf_mod3_criterion(cf) != (cf.q % 3 == 0):
+            return CheckResult("mod3_criterion", False, f"fails at {cf}")
     return CheckResult("mod3_criterion", True, f"{count} chains, orders 2..{q_max}")
 
 
@@ -175,47 +176,45 @@ def check_dp_closed_form(q_max: int = 200) -> CheckResult:
     double-sum evaluation for short chains, tridiagonal integer form always).
     """
     checked = 0
-    for q in range(2, q_max + 1):
-        for cf in enumerate_cfs_of_order(q):
-            checked += 1
-            l, n, u, v = cf.l, cf.entries, cf.u_seq, cf.v_seq
-            c = [0] + [q - u[j] - v[j] for j in range(1, l + 1)] + [0]
-            quad = sum(
-                c[j] * (-n[j - 1] * c[j] + c[j - 1] + c[j + 1]) for j in range(1, l + 1)
-            )
-            closed = (2 * l - cf.trace + 2) * q * q - (cf.q1 + cf.ql + 2) * q
-            if quad != closed:
-                return CheckResult("dp_closed_form", False, f"tridiagonal form at {cf}")
-            adj = -q * sum(c[j] * (n[j - 1] - 2) for j in range(1, l + 1))
-            if adj != quad:
-                return CheckResult("dp_closed_form", False, f"adjunction at {cf}")
-            if l == 1 and Fraction(closed, q * q) != -Fraction((n[0] - 2) ** 2, n[0]):
-                return CheckResult("dp_closed_form", False, f"l=1 form at {cf}")
-            if l <= 12:
-                data = dp_data(cf)
-                # q * coeff_j: the dense form is an integer over q^2
-                nums = [c.numerator * (q // c.denominator) for c in data.dp_coeffs]
-                dense = 0
-                for i in range(l):
-                    for j in range(l):
-                        if i == j:
-                            dense += nums[i] * nums[j] * (-n[i])
-                        elif abs(i - j) == 1:
-                            dense += nums[i] * nums[j]
-                if Fraction(dense, q * q) != data.dp_sq:
-                    return CheckResult("dp_closed_form", False, f"dense form at {cf}")
+    for cf in _all_cfs(q_max):
+        checked += 1
+        q, l, n, u, v = cf.q, cf.l, cf.entries, cf.u_seq, cf.v_seq
+        c = [0] + [q - u[j] - v[j] for j in range(1, l + 1)] + [0]
+        quad = sum(
+            c[j] * (-n[j - 1] * c[j] + c[j - 1] + c[j + 1]) for j in range(1, l + 1)
+        )
+        closed = (2 * l - cf.trace + 2) * q * q - (cf.q1 + cf.ql + 2) * q
+        if quad != closed:
+            return CheckResult("dp_closed_form", False, f"tridiagonal form at {cf}")
+        adj = -q * sum(c[j] * (n[j - 1] - 2) for j in range(1, l + 1))
+        if adj != quad:
+            return CheckResult("dp_closed_form", False, f"adjunction at {cf}")
+        if l == 1 and Fraction(closed, q * q) != -Fraction((n[0] - 2) ** 2, n[0]):
+            return CheckResult("dp_closed_form", False, f"l=1 form at {cf}")
+        if l <= 12:
+            data = dp_data(cf)
+            # q * coeff_j: the dense form is an integer over q^2
+            nums = [c.numerator * (q // c.denominator) for c in data.dp_coeffs]
+            dense = 0
+            for i in range(l):
+                for j in range(l):
+                    if i == j:
+                        dense += nums[i] * nums[j] * (-n[i])
+                    elif abs(i - j) == 1:
+                        dense += nums[i] * nums[j]
+            if Fraction(dense, q * q) != data.dp_sq:
+                return CheckResult("dp_closed_form", False, f"dense form at {cf}")
     return CheckResult("dp_closed_form", True, f"{checked} chains, orders 2..{q_max}")
 
 
 def check_round_trip(q_max: int = 200) -> CheckResult:
     """cf_from_pair inverts cf_evaluate, and reversal swaps q1 with ql."""
-    for q in range(2, q_max + 1):
-        for cf in enumerate_cfs_of_order(q):
-            if cf_from_pair(*cf_evaluate(cf)) != cf:
-                return CheckResult("round_trip", False, f"fails at {cf}")
-            rq, rq1 = cf_evaluate(cf.reverse())
-            if (rq, rq1) != (cf.q, cf.ql):
-                return CheckResult("round_trip", False, f"reversal at {cf}")
+    for cf in _all_cfs(q_max):
+        if cf_from_pair(*cf_evaluate(cf)) != cf:
+            return CheckResult("round_trip", False, f"fails at {cf}")
+        rq, rq1 = cf_evaluate(cf.reverse())
+        if (rq, rq1) != (cf.q, cf.ql):
+            return CheckResult("round_trip", False, f"reversal at {cf}")
     return CheckResult("round_trip", True, f"orders 2..{q_max}")
 
 

@@ -118,7 +118,10 @@ def _emit_report(report: PipelineReport, fmt: str) -> None:
 def _cmd_cf_info(args) -> int:
     cf = parse_cf(args.cf)
     if not cf.entries:
-        print("cf: [] (order 1, no singularity)")
+        if args.format == "json":
+            print(_json_dump({"entries": [], "q": 1}))
+        else:
+            print("cf: [] (order 1, no singularity)")
         return 0
     info = dp_data(cf)
     if args.format == "json":

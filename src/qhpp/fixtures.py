@@ -12,20 +12,19 @@ import os
 from functools import lru_cache
 from importlib import resources
 
+from .hjcf import parse_cf
+
 ENV_VAR = "QHPP_FIXTURES"
-
-
-def fixtures_path() -> str | None:
-    """Explicit fixture path from the environment, if any."""
-    return os.environ.get(ENV_VAR)
 
 
 # The JSON shape of every value some pipeline or check reads.  A spec is a
 # type (`object` takes any value, for cells that are only compared), a dict
 # of required keys (a key ending in "?" may be absent; "*" stands for every
-# key), a one-element list for an array of such elements, or a tuple for an
-# array of exactly those elements.
-_ROW = {"no": int, "sings": [str], "ks2": object, "cmp": object, "three_e_orb": object}
+# key), a one-element list for an array of such elements, a tuple for an
+# array of exactly those elements, or _CHAIN for a string that parse_cf reads
+# as a nonempty chain.
+_CHAIN = "chain"
+_ROW = {"no": int, "sings": [_CHAIN], "ks2": object, "cmp": object, "three_e_orb": object}
 _SWEEP = {
     "ks2": object, "sqrt_D": object,
     "branches": [{"meets": [str], "value": str, "m?": str, "outcome": str}],
@@ -39,15 +38,15 @@ SCHEMA = {
         "m_bound": object, "m_values": object, "eliminated_by": object,
     }],
     "step5": {
-        "sub_cases": [{"p3": str, "l_nj": [(int, int)], "tally": object, "survivors": object}],
+        "sub_cases": [{"p3": _CHAIN, "l_nj": [(int, int)], "tally": object, "survivors": object}],
     },
     "step6": {
         "rules": {"A": object, "B": object, "C": object, "residual": object},
         "case15": _SWEEP, "case23": _SWEEP, "case24": {"L": object, "required": object},
     },
     "gram": [{"name": object, "diag": [int], "edges": [(int, int)]}],
-    "coeff_tables": {"*": {"sings": [str], "coeffs": [[str]], "quad?": [[str]]}},
-    "noA2_examples": [{"q": object, "cf": str, "third": str, "D": object}],
+    "coeff_tables": {"*": {"sings": [_CHAIN], "coeffs": [[str]], "quad?": [[str]]}},
+    "noA2_examples": [{"q": object, "cf": _CHAIN, "third": _CHAIN, "D": object}],
 }
 
 _JSON_TYPES = {
@@ -58,8 +57,8 @@ _JSON_TYPES = {
 
 def _check_schema(data, where: str) -> None:
     """Raise ValueError naming the file and the dotted path of the first
-    value, in the order of ``SCHEMA``, that is missing or has the wrong
-    JSON shape."""
+    value, in the order of ``SCHEMA``, that is missing, has the wrong JSON
+    shape or is a chain string that gives no singularity."""
 
     def fail(path: str, want: str, value) -> None:
         raise ValueError(f"{where}: {path} must be {want}, got {_JSON_TYPES[type(value)]}")
@@ -89,12 +88,33 @@ def _check_schema(data, where: str) -> None:
                 fail(path, "a JSON array", value)
             for i, item in enumerate(value):
                 check(item, spec[0], f"{path}[{i}]")
+        elif spec is _CHAIN:
+            check(value, str, path)
+            try:
+                if not parse_cf(value).entries:
+                    raise ValueError("the chain is empty")
+            except ValueError as exc:
+                raise ValueError(f"{where}: {path} names no singularity: {exc}") from None
         elif not isinstance(value, spec):
             fail(path, "a JSON integer" if spec is int else f"a JSON {_JSON_TYPES[spec]}", value)
 
     if not isinstance(data, dict):
         raise ValueError(f"{where}: reference tables must be a JSON object")
     check(data, SCHEMA, "")
+
+
+def _check_rows(data: dict, where: str) -> None:
+    """Raise ValueError naming the file and the dotted path of an l11 case
+    or a step6 case that names a row its table lacks."""
+    named = [(f"l11_cases[{i}].row", case["row"], "q20") for i, case in enumerate(data["l11_cases"])]
+    named += [
+        (f"step6.{key}", int(key[4:]), "table1")
+        for key in data["step6"]
+        if key.startswith("case") and key[4:].isdecimal()
+    ]
+    for path, no, table in named:
+        if no not in {row["no"] for row in data[table]["rows"]}:
+            raise ValueError(f"{where}: {path} names row {no}, which {table}.rows lacks")
 
 
 @lru_cache(maxsize=4)
@@ -105,9 +125,11 @@ def _load(path: str | None) -> dict:
     else:
         ref = resources.files("qhpp.data").joinpath("reference_tables.json")
         data = json.loads(ref.read_text(encoding="utf-8"))
-    _check_schema(data, path or "the bundled reference tables")
+    where = path or "the bundled reference tables"
+    _check_schema(data, where)
+    _check_rows(data, where)
     return data
 
 
 def load_fixtures() -> dict:
-    return _load(fixtures_path())
+    return _load(os.environ.get(ENV_VAR))

@@ -112,9 +112,6 @@ class HjCf:
         rev = self.entries[::-1]
         return self if self.entries <= rev else HjCf(rev)
 
-    def is_canonical(self) -> bool:
-        return self.entries <= self.entries[::-1]
-
 
 # ---------------------------------------------------------------------------
 # operations
@@ -141,14 +138,6 @@ def cf_from_pair(q: int, q1: int) -> HjCf:
     if gcd(q, q1) != 1:
         raise ValueError(f"q and q1 must be coprime, got {q}/{q1}")
     return HjCf(_expand_entries(q, q1))
-
-
-def cf_reverse(cf: HjCf) -> HjCf:
-    return cf.reverse()
-
-
-def cf_canonical(cf: HjCf) -> HjCf:
-    return cf.canonical()
 
 
 def chain_order(entries: Iterable[int]) -> int:
@@ -272,34 +261,31 @@ def _expand_entries(q: int, q1: int) -> tuple[int, ...]:
     return tuple(entries)
 
 
-def enumerate_cfs_by_shape(
-    length: int, trace: int, max_entry: int | None = None
-) -> list[HjCf]:
+def enumerate_cfs_by_shape(length: int, trace: int) -> list[HjCf]:
     """All chains with the given length and entry sum, up to reversal.
 
-    Entries run over 2..max_entry (unbounded by default).  Generation is by
-    raw composition enumeration followed by canonical deduplication; all uses
-    here have length <= 9, so no cleverness is warranted.
+    Generation is by raw composition enumeration followed by canonical
+    deduplication; all uses here have length <= 9, so no cleverness is
+    warranted.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
     if trace < 2 * length:
         raise ValueError(f"trace {trace} impossible for length {length}")
-    cap = trace if max_entry is None else max_entry
     seen: set[tuple[int, ...]] = set()
-    for ent in _compositions(length, trace, cap):
+    for ent in _compositions(length, trace):
         seen.add(min(ent, ent[::-1]))
     return [HjCf(e) for e in sorted(seen)]
 
 
-def _compositions(length: int, total: int, cap: int) -> Iterator[tuple[int, ...]]:
+def _compositions(length: int, total: int) -> Iterator[tuple[int, ...]]:
+    # the caller and each level leave total >= 2 * length, so every entry is >= 2
     if length == 1:
-        if 2 <= total <= cap:
-            yield (total,)
+        yield (total,)
         return
-    hi = min(cap, total - 2 * (length - 1))
+    hi = total - 2 * (length - 1)
     for first in range(2, hi + 1):
-        for rest in _compositions(length - 1, total - first, cap):
+        for rest in _compositions(length - 1, total - first):
             yield (first,) + rest
 
 

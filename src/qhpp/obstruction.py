@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .ratio import rational_sqrt
 from .surface import CyclicSing, SurfaceCandidate
@@ -60,10 +60,6 @@ class Incidence:
     """
 
     rows: tuple[tuple[int, ...], ...]
-
-    @staticmethod
-    def zero(cand: SurfaceCandidate) -> "Incidence":
-        return Incidence(tuple((0,) * s.l for s in cand.sings))
 
     @staticmethod
     def from_hits(cand: SurfaceCandidate, hits: dict[tuple[int, int], int]) -> "Incidence":
@@ -220,7 +216,6 @@ def minimal_curve_m(cand: SurfaceCandidate, incidence: Incidence) -> Fraction:
     """
     if cand.ks2 == 0:
         raise ValueError("K^2 = 0: leading coefficient undefined")
-    incidence.validate_against(cand)
     curve = CurveClass(m=0, cand=cand, incidence=incidence, regime=Regime.ANTI_K_AMPLE)
     root = rational_sqrt(cand.d_prime)
     return root * (1 - degree_sum(curve)) / cand.ks2
@@ -262,35 +257,8 @@ class DiophProblem:
                 raise ValueError("quadratic coefficients must be positive")
             if self.quad_bound is None:
                 raise ValueError("quad_coeffs given without quad_bound")
-
-    def to_dict(self) -> dict:
-        """Wire form: rationals as strings, ``quad`` null when absent."""
-        from .ratio import format_rational
-
-        return {
-            "coeffs": [format_rational(c) for c in self.coeffs],
-            "target": format_rational(self.target),
-            "quad": None
-            if self.quad_coeffs is None
-            else {
-                "coeffs": [format_rational(c) for c in self.quad_coeffs],
-                "bound": format_rational(self.quad_bound),
-            },
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> "DiophProblem":
-        from .ratio import parse_rational
-
-        quad = data.get("quad")
-        return DiophProblem(
-            coeffs=tuple(parse_rational(c) for c in data["coeffs"]),
-            target=parse_rational(data["target"]),
-            quad_coeffs=None
-            if quad is None
-            else tuple(parse_rational(c) for c in quad["coeffs"]),
-            quad_bound=None if quad is None else parse_rational(quad["bound"]),
-        )
+        elif self.quad_bound is not None:
+            raise ValueError("quad_bound given without quad_coeffs")
 
 
 # Search nodes solve_dioph may visit before it gives up.  The largest problem
@@ -312,7 +280,7 @@ def solve_dioph(problem: DiophProblem) -> list[tuple[int, ...]]:
     )
     cleared = [int(c * den) for c in problem.coeffs]
     target = problem.target * den
-    if target.denominator != 1 or target < 0:
+    if target < 0:
         return []
     solutions: list[tuple[int, ...]] = []
     vec = [0] * n
@@ -408,8 +376,6 @@ def aggregated_problem(
     chain's contributions; the variable counts steps.  Returns the problem
     and the singularity index of each variable.
     """
-    from math import gcd as _gcd
-
     coeffs: list[Fraction] = []
     labels: list[int] = []
     for p, sing in enumerate(cand.sings):
@@ -418,9 +384,6 @@ def aggregated_problem(
         ]
         if not nums:
             continue
-        g = 0
-        for v in nums:
-            g = _gcd(g, v)
-        coeffs.append(Fraction(g, sing.q))
+        coeffs.append(Fraction(gcd(*nums), sing.q))
         labels.append(p)
     return DiophProblem(coeffs=tuple(coeffs), target=target), labels

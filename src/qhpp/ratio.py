@@ -31,19 +31,16 @@ def format_rational(x: Fraction | int) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def is_perfect_square(n: int) -> bool:
-    return n >= 0 and isqrt(n) ** 2 == n
-
-
 def is_positive_square(x: Fraction | int) -> bool:
     """True iff ``x`` is a positive integer that is a perfect square.
 
-    Zero, negatives and non-integral rationals all fail.
+    Zero, negatives and non-integral rationals all fail.  ``int``, ``bool``
+    and ``Fraction`` all carry ``numerator`` and ``denominator``, so one path
+    serves them all.  The denominator is read last: most values tested are
+    positive integers that are not squares.
     """
-    if type(x) is int:
-        return x > 0 and isqrt(x) ** 2 == x
-    f = Fraction(x)
-    return f > 0 and f.denominator == 1 and is_perfect_square(f.numerator)
+    n = x.numerator
+    return n > 0 and isqrt(n) ** 2 == n and x.denominator == 1
 
 
 def rational_sqrt(x: Fraction | int) -> Fraction:

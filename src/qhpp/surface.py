@@ -39,7 +39,6 @@ __all__ = [
     "bmy_status",
     "gram_determinant",
     "candidate_to_dict",
-    "is_positive_square",
 ]
 
 
@@ -108,7 +107,6 @@ class SurfaceCandidate:
     sings: tuple[CyclicSing, ...]
     c: int
     L: int
-    ks2_smooth: Fraction
     ks2: Fraction
     det_r: int
     d_value: Fraction
@@ -153,14 +151,12 @@ def candidate_invariants(
         det_r *= s.q
     if det_r % (c * c) != 0:
         raise ValueError(f"c={c} rejected: c^2 does not divide det R = {det_r}")
-    ks2_smooth = Fraction(9 - L)
-    ks2 = ks2_smooth + sum((s.dp_dot_k for s in data), start=Fraction(0))
+    ks2 = (9 - L) + sum((s.dp_dot_k for s in data), start=Fraction(0))
     e_orb = 3 - sum((1 - Fraction(1, s.q) for s in data), start=Fraction(0))
     cand = SurfaceCandidate(
         sings=data,
         c=c,
         L=L,
-        ks2_smooth=ks2_smooth,
         ks2=ks2,
         det_r=det_r,
         d_value=det_r * ks2,

@@ -48,6 +48,13 @@ def test_cf_info_json(capsys):
     assert data["ep_sq"] == "-3/5"
 
 
+def test_cf_info_empty_chain(capsys):
+    code, out, _ = run(capsys, "cf-info", "[]")
+    assert (code, out) == (0, "cf: [] (order 1, no singularity)\n")
+    code, out, _ = run(capsys, "cf-info", "[]", "--format", "json")
+    assert (code, out) == (0, '{"entries": [],"q": 1}\n')
+
+
 def test_cf_info_parse_error(capsys):
     code, _, err = run(capsys, "cf-info", "[3,1]")
     assert code == 2
@@ -119,6 +126,14 @@ def test_dioph_with_quad_filter(capsys):
     )
     assert code == 0
     assert json.loads(out) == []
+
+
+def test_dioph_quad_bound_without_quad_is_input_error(capsys):
+    code, out, err = run(
+        capsys, "dioph", "--coeffs", "1/2,1/3", "--target", "1", "--quad-bound", "0"
+    )
+    assert code == 2 and out == ""
+    assert err == "error: quad_bound given without quad_coeffs\n"
 
 
 def test_dioph_over_budget_is_input_error(capsys):
@@ -224,6 +239,18 @@ def tables(tmp_path, monkeypatch):
     fx._load.cache_clear()
 
 
+def write_edited_tables(tables, path, value):
+    """Write the bundled tables to ``tables`` with the value at ``path``
+    (a sequence of keys and indices) replaced by ``value``."""
+    data = json.loads(json.dumps(fx._load(None)))
+    *parents, last = path
+    target = data
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    tables.write_text(json.dumps(data))
+
+
 def test_missing_fixture_file_is_input_error(capsys, tables):
     code, out, err = run(capsys, "enumerate", "--pipeline", "step5")
     assert code == 2 and out == ""
@@ -279,14 +306,34 @@ def test_fixture_table_of_the_wrong_shape_is_input_error(capsys, tables, table, 
 def test_nested_fixture_value_of_the_wrong_shape_is_input_error(
     capsys, tables, path, value, message
 ):
-    data = json.loads(json.dumps(fx._load(None)))
-    *parents, last = path
-    target = data
-    for key in parents:
-        target = target[key]
-    target[last] = value
-    tables.write_text(json.dumps(data))
+    write_edited_tables(tables, path, value)
     code, out, err = run(capsys, "verify", "--all")
+    assert code == 2 and out == ""
+    assert err == f"error: {tables}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    ("pipeline", "path", "value", "message"),
+    [
+        ("l11", ("l11_cases", 0, "row"), 99,
+         "l11_cases[0].row names row 99, which q20.rows lacks"),
+        ("table1", ("table1", "rows", 0, "sings", 0), "[3,1]",
+         "table1.rows[0].sings[0] names no singularity: "
+         "chain entries must all be >= 2, got [3, 1]"),
+        ("noA2", ("noA2_examples", 0, "cf"), "[1]",
+         "noA2_examples[0].cf names no singularity: chain entries must all be >= 2, got [1]"),
+        ("step5", ("step5", "sub_cases", 0, "p3"), "[]",
+         "step5.sub_cases[0].p3 names no singularity: the chain is empty"),
+        ("step6", ("table1", "rows", 23, "no"), 25,
+         "step6.case24 names row 24, which table1.rows lacks"),
+    ],
+)
+def test_fixture_value_naming_something_absent_is_input_error(
+    capsys, tables, pipeline, path, value, message
+):
+    assert fx._load(None)["table1"]["rows"][23]["no"] == 24
+    write_edited_tables(tables, path, value)
+    code, out, err = run(capsys, "enumerate", "--pipeline", pipeline)
     assert code == 2 and out == ""
     assert err == f"error: {tables}: {message}\n"
 

@@ -25,8 +25,7 @@ from qhpp.surface import candidate_invariants
 
 
 def test_families_derived():
-    fams = enumerate_order_tuples(50)
-    described = {f.describe() for f in fams}
+    fams = enumerate_order_tuples()
     assert len(fams) == 3
     unbounded = [f for f in fams if f.free_min and f.free_max is None]
     assert len(unbounded) == 1
@@ -41,16 +40,11 @@ def test_families_derived():
 
 def test_family_235_instances_coprime():
     f235 = next(
-        f for f in enumerate_order_tuples(200) if f.fixed_orders == (2, 3, 5)
+        f for f in enumerate_order_tuples() if f.fixed_orders == (2, 3, 5)
     )
     qs = [t[3] for t in f235.instances(200)]
     assert all(gcd(q, 30) == 1 for q in qs)
     assert qs[0] == 7 and 49 in qs and 77 in qs
-
-
-def test_families_cap_validation():
-    with pytest.raises(ValueError):
-        enumerate_order_tuples(40)
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,10 @@ from qhpp.hjcf import (
     HjCf,
     _chain_shape,
     cf_bump,
-    cf_canonical,
     cf_deleted_det,
     cf_evaluate,
     cf_from_pair,
     cf_mod3_criterion,
-    cf_reverse,
     chain_order,
     enumerate_cfs_by_shape,
     enumerate_cfs_of_order,
@@ -180,12 +178,12 @@ def test_deleted_det_rejects_out_of_range():
 
 def test_reverse_and_canonical():
     cf = HjCf([3, 2])
-    rev = cf_reverse(cf)
+    rev = cf.reverse()
     assert rev == HjCf([2, 3])
     assert rev.q == 5 and rev.q1 == 3
-    assert cf_canonical(HjCf([2, 3])) == HjCf([2, 3])
-    assert cf_canonical(HjCf([3, 2])) == HjCf([2, 3])
-    assert cf_reverse(HjCf([7])) == HjCf([7])
+    assert HjCf([2, 3]).canonical() == HjCf([2, 3])
+    assert HjCf([3, 2]).canonical() == HjCf([2, 3])
+    assert HjCf([7]).reverse() == HjCf([7])
 
 
 @pytest.mark.parametrize(
@@ -230,7 +228,7 @@ def test_enumerate_order_is_canonical_and_sorted():
         classes = enumerate_cfs_of_order(q)
         assert classes == sorted(classes)
         for cf in classes:
-            assert cf.is_canonical()
+            assert cf == cf.canonical()
             assert cf.q == q
 
 
@@ -272,13 +270,6 @@ def test_enumerate_by_shape_against_raw_compositions():
         classes = {min(s, s[::-1]) for s in seqs}
         got = enumerate_cfs_by_shape(length, trace)
         assert {c.entries for c in got} == classes
-
-
-def test_enumerate_by_shape_max_entry():
-    capped = enumerate_cfs_by_shape(5, 13, max_entry=3)
-    assert all(max(c.entries) <= 3 for c in capped)
-    assert all(sorted(c.entries) == [2, 2, 3, 3, 3] for c in capped)
-    assert len(capped) == 6
 
 
 def test_parse_cf_forms():

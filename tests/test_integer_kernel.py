@@ -247,7 +247,7 @@ def test_curve_forms_with_a_leading_term():
     # D = 9216 = 96^2 for the first table1 row
     cand = candidate_invariants(["[2]", "[2,2]", "[7]", "[13]"])
     for m in (1, 2, 5):
-        for inc in (Incidence.zero(cand), Incidence(((1,), (0, 2), (1,), (3,)))):
+        for inc in (Incidence.from_hits(cand, {}), Incidence(((1,), (0, 2), (1,), (3,)))):
             curve = CurveClass(m, cand, inc)
             assert esq_formula(curve) == reference_esq_formula(curve) != 0
             assert esq_two_component(curve) == reference_esq_two_component(curve)

@@ -67,7 +67,7 @@ def test_incidence_validation():
         Incidence(((0,), (0, 0), (0,), (0,) * 8)).validate_against(cand)
     with pytest.raises(ValueError):
         Incidence.from_hits(cand, {(2, 1): -1}).validate_against(cand)
-    assert Incidence.zero(cand).rows == ((0,), (0, 0), (0,), (0,) * 9)
+    assert Incidence.from_hits(cand, {}).rows == ((0,), (0, 0), (0,), (0,) * 9)
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +77,7 @@ def test_incidence_validation():
 
 def test_degree_sum_examples():
     cand = candidate_invariants(ROW2)
-    assert degree_sum(CurveClass(0, cand, Incidence.zero(cand))) == 0
+    assert degree_sum(CurveClass(0, cand, Incidence.from_hits(cand, {}))) == 0
     hit7 = Incidence.from_hits(cand, {(2, 1): 1})
     assert degree_sum(CurveClass(0, cand, hit7)) == Fraction(5, 7)
     hit19 = Incidence.from_hits(cand, {(3, 1): 1})
@@ -117,7 +117,7 @@ def test_ek_formula_linearity():
 
 def test_ek_requires_square_d_prime():
     cand = candidate_invariants(["[3]", "[4,3]"])  # D not a rational square
-    inc = Incidence.zero(cand)
+    inc = Incidence.from_hits(cand, {})
     with pytest.raises(ValueError):
         ek_formula(CurveClass(1, cand, inc))
     # m = 0 classes never touch sqrt(D')
@@ -138,7 +138,7 @@ def test_esq_two_component_closed_forms():
     curve = CurveClass(0, cand, mid)
     expected = -4 * Fraction(cf.v_seq[4] * cf.u_seq[4], 19)
     assert esq_two_component(curve) == expected == esq_formula(curve)
-    assert esq_two_component(CurveClass(0, cand, Incidence.zero(cand))) == 0
+    assert esq_two_component(CurveClass(0, cand, Incidence.from_hits(cand, {}))) == 0
 
 
 def test_esq_two_component_rejects_three_hits():
@@ -208,7 +208,7 @@ def test_minimal_curve_m_rejects_zero_ks2():
     flat = candidate_invariants(["[2]"] * 9)
     assert flat.ks2 == 0
     with pytest.raises(ValueError):
-        minimal_curve_m(flat, Incidence.zero(flat))
+        minimal_curve_m(flat, Incidence.from_hits(flat, {}))
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +291,8 @@ def test_solve_dioph_validation():
         DiophProblem((Fraction(0),), Fraction(1))
     with pytest.raises(ValueError):
         DiophProblem((Fraction(1),), Fraction(1), quad_coeffs=(Fraction(1),))
+    with pytest.raises(ValueError, match="quad_bound given without quad_coeffs"):
+        DiophProblem((Fraction(1, 2), Fraction(1, 3)), Fraction(1), quad_bound=Fraction(0))
 
 
 def test_solve_dioph_negative_or_fractional_target():
@@ -301,23 +303,6 @@ def test_solve_dioph_negative_or_fractional_target():
 def test_solve_dioph_lexicographic_order():
     prob = DiophProblem((Fraction(1), Fraction(1)), Fraction(3))
     assert solve_dioph(prob) == [(0, 3), (1, 2), (2, 1), (3, 0)]
-
-
-def test_dioph_problem_json_round_trip():
-    prob = DiophProblem((Fraction(5, 7), Fraction(1, 19)), Fraction(134, 133))
-    assert prob.to_dict() == {
-        "coeffs": ["5/7", "1/19"],
-        "target": "134/133",
-        "quad": None,
-    }
-    assert DiophProblem.from_dict(prob.to_dict()) == prob
-    quad = DiophProblem(
-        (Fraction(1, 3),),
-        Fraction(2),
-        quad_coeffs=(Fraction(1, 2),),
-        quad_bound=Fraction(9, 2),
-    )
-    assert DiophProblem.from_dict(quad.to_dict()) == quad
 
 
 def test_solve_dioph_matches_oracle_random():
