@@ -266,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run every pipeline and property suite")
     p.add_argument("--all", action="store_true", required=True)
     p.add_argument("--cap", type=int, default=500, help="order cap for the noA2 scan")
-    p.add_argument("--threads", type=int, help=argparse.SUPPRESS)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("dioph", help="solve a bounded linear Diophantine problem")

@@ -23,6 +23,7 @@ from .fixtures import load_fixtures
 from .hjcf import (
     HjCf,
     _chain_shape,
+    _unit_pairs,
     cf_from_pair,
     enumerate_cfs_by_shape,
     enumerate_cfs_of_order,
@@ -85,11 +86,11 @@ class PipelineReport:
         }
 
 
-def _row_key(row: dict) -> tuple:
-    cfs = [parse_cf(s) for s in row["sings"]]
+def _chains_key(cfs: list[HjCf]) -> tuple:
+    """A candidate's identity: its sorted orders and sorted canonical chains."""
     return (
         tuple(sorted(cf.q for cf in cfs)),
-        tuple(sorted(tuple(cf.canonical().entries) for cf in cfs)),
+        tuple(sorted(cf.canonical().entries for cf in cfs)),
     )
 
 
@@ -117,7 +118,7 @@ def _diff_rows(
     """
     dicts = {key: _survivor_dict(cand) for key, cand in computed.items()}
     for row in fixture_rows:
-        d = dicts.get(_row_key(row))
+        d = dicts.get(_chains_key([parse_cf(s) for s in row["sings"]]))
         if d is None:
             report.mismatches.append(
                 f"{label}: fixture row {row['no']} {'+'.join(row['sings'])} "
@@ -156,7 +157,9 @@ def _scan(
     """
     report = PipelineReport(label)
     cands = [candidate_invariants(case) for case in cases]
-    square = {c.canonical_key(): c for c in cands if is_positive_square(c.d_value)}
+    square = {
+        _chains_key(case): c for case, c in zip(cases, cands) if is_positive_square(c.d_value)
+    }
     report.stages = [(first, len(cases)), ("D_square", len(square))]
     if bmy:
         survivors_bmy = {k for k, c in square.items() if c.ks2 <= 3 * c.e_orb}
@@ -170,7 +173,9 @@ def _scan(
     report.survivors = _diff_rows(square, fixture["rows"], report, label)
     if bmy:
         fixture_bmy = {
-            _row_key(row) for row in fixture["rows"] if row["no"] in fixture["bmy_rows"]
+            _chains_key([parse_cf(s) for s in row["sings"]])
+            for row in fixture["rows"]
+            if row["no"] in fixture["bmy_rows"]
         }
         if survivors_bmy != fixture_bmy:
             report.mismatches.append(
@@ -308,9 +313,9 @@ def noA2_scan(q_cap: int = 500) -> PipelineReport:
     re-checked.
 
     The forms need only q1, ql, the trace and the length of each chain, so
-    the scan walks integers instead of chains: a class up to reversal is the
-    pair {q1, ql = q1^-1 mod q} (the reversed chain of q/q1 is q/ql), visited
-    once as the unit q1 <= ql.  Only a chain that fails a check is built, to
+    the scan walks integers instead of chains: each class up to reversal is
+    visited once, as the unit pair (q1, ql) that enumerate_cfs_of_order
+    expands (``_unit_pairs``).  Only a chain that fails a check is built, to
     name it in the report; failures keep the order of a scan over the
     canonical chains of each q.
     """
@@ -325,12 +330,7 @@ def noA2_scan(q_cap: int = 500) -> PipelineReport:
         if gcd(q, 30) != 1:
             continue
         failed = []
-        for q1 in range(1, q):
-            if gcd(q, q1) != 1:
-                continue
-            ql = pow(q1, -1, q)
-            if ql < q1:
-                continue
+        for q1, ql in _unit_pairs(q):
             n_cfs += 1
             tr, l = _chain_shape(q, q1)
             x_a4 = q1 + ql + (tr - 3 * l) * q + 2
@@ -450,7 +450,7 @@ def small_q_pipeline() -> PipelineReport:
             for t in thirds:
                 # orders may repeat, so the same surface can arise with the
                 # third and fourth slots swapped; dedupe on the chain multiset
-                key = tuple(sorted((t.canonical().entries, cf.canonical().entries)))
+                key = _chains_key([t, cf])
                 if key in seen:
                     continue
                 seen.add(key)
@@ -756,6 +756,13 @@ def _residual_sweep(cand: SurfaceCandidate) -> dict:
     return {"branches": branches}
 
 
+def _branch_rows(branches: list[dict]) -> list[tuple]:
+    """Sweep branches in a form that compares regardless of their order."""
+    return sorted(
+        (tuple(sorted(b["meets"])), b["value"], b.get("m"), b["outcome"]) for b in branches
+    )
+
+
 def step6_classification() -> PipelineReport:
     """Classify the 24 main-table rows by their del Pezzo elimination rule and
     run the explicit minimal-curve sweeps for the three residual rows."""
@@ -774,49 +781,37 @@ def step6_classification() -> PipelineReport:
 
     rows_by_no = {row["no"]: row for row in rows}
     eliminated = 0
-
-    def check_sweep(no: int, fx: dict) -> None:
-        nonlocal eliminated
-        cand = candidate_invariants(list(rows_by_no[no]["sings"]))
+    for no in groups["residual"]:
         label = f"step6 case {no}"
-        _expect(report, label, "ks2", format_rational(cand.ks2), fx["ks2"])
-        _expect(
-            report, label, "sqrt(D)",
-            format_rational(rational_sqrt(cand.d_prime)), fx["sqrt_D"],
-        )
-        sweep = _residual_sweep(cand)
-        got = sorted(
-            (tuple(sorted(b["meets"])), b["value"], b.get("m"), b["outcome"])
-            for b in sweep["branches"]
-        )
-        want = sorted(
-            (tuple(sorted(b["meets"])), b["value"], b.get("m"), b["outcome"])
-            for b in fx["branches"]
-        )
-        if got != want:
-            report.mismatches.append(
-                f"{label}: sweep branches differ: computed {got}, fixture {want}"
+        fx = fixture.get(f"case{no}")
+        cand = candidate_invariants(list(rows_by_no[no]["sings"]))
+        sweep = report.details[f"case{no}"] = _residual_sweep(cand)
+        if fx is None:
+            report.mismatches.append(f"{label}: no fixture case for this residual row")
+        elif "branches" in fx:
+            _expect(report, label, "ks2", format_rational(cand.ks2), fx["ks2"])
+            _expect(
+                report, label, "sqrt(D)",
+                format_rational(rational_sqrt(cand.d_prime)), fx["sqrt_D"],
             )
-        if all(b["outcome"] in ("negative", "non_integer", "geometric")
-               for b in sweep["branches"]):
+            if "branches" not in sweep:
+                report.mismatches.append(f"{label}: expected sweep branches")
+                continue
+            # every branch outcome (negative, non_integer, geometric) closes the row
             eliminated += 1
-        report.details[f"case{no}"] = sweep
-
-    check_sweep(15, fixture["case15"])
-    check_sweep(23, fixture["case23"])
-
-    cand24 = candidate_invariants(list(rows_by_no[24]["sings"]))
-    sweep24 = _residual_sweep(cand24)
-    report.details["case24"] = sweep24
-    if sweep24.get("eliminated_by") != "L_violation":
-        report.mismatches.append("step6 case 24: expected an L violation")
-    else:
-        eliminated += 1
-        _expect(
-            report, "step6 case 24", "L/required",
-            (sweep24["L"], sweep24["required"]),
-            (fixture["case24"]["L"], fixture["case24"]["required"]),
-        )
+            got, want = _branch_rows(sweep["branches"]), _branch_rows(fx["branches"])
+            if got != want:
+                report.mismatches.append(
+                    f"{label}: sweep branches differ: computed {got}, fixture {want}"
+                )
+        elif "branches" in sweep:
+            report.mismatches.append(f"{label}: expected an L violation")
+        else:
+            eliminated += 1
+            _expect(
+                report, label, "L/required",
+                (sweep["L"], sweep["required"]), (fx["L"], fx["required"]),
+            )
 
     report.stages = [
         ("rows", len(rows)),

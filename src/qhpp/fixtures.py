@@ -105,7 +105,8 @@ def _check_schema(data, where: str) -> None:
 
 def _check_rows(data: dict, where: str) -> None:
     """Raise ValueError naming the file and the dotted path of an l11 case
-    or a step6 case that names a row its table lacks."""
+    or a step6 case that names a row its table lacks, or of a gram edge
+    that names a vertex its diagonal lacks or joins a vertex to itself."""
     named = [(f"l11_cases[{i}].row", case["row"], "q20") for i, case in enumerate(data["l11_cases"])]
     named += [
         (f"step6.{key}", int(key[4:]), "table1")
@@ -115,6 +116,14 @@ def _check_rows(data: dict, where: str) -> None:
     for path, no, table in named:
         if no not in {row["no"] for row in data[table]["rows"]}:
             raise ValueError(f"{where}: {path} names row {no}, which {table}.rows lacks")
+    for i, cfg in enumerate(data["gram"]):
+        for k, (a, b) in enumerate(cfg["edges"]):
+            path = f"{where}: gram[{i}].edges[{k}]"
+            for end in (a, b):
+                if not 0 <= end < len(cfg["diag"]):
+                    raise ValueError(f"{path} names vertex {end}, which gram[{i}].diag lacks")
+            if a == b:
+                raise ValueError(f"{path} joins vertex {a} to itself")
 
 
 @lru_cache(maxsize=4)

@@ -16,6 +16,18 @@ from __future__ import annotations
 from math import gcd
 from typing import Iterable, Iterator
 
+__all__ = [
+    "HjCf",
+    "cf_bump",
+    "cf_deleted_det",
+    "cf_evaluate",
+    "cf_from_pair",
+    "cf_mod3_criterion",
+    "enumerate_cfs_by_shape",
+    "enumerate_cfs_of_order",
+    "parse_cf",
+]
+
 
 class HjCf:
     """A Hirzebruch-Jung continued fraction, immutable after construction.
@@ -198,13 +210,21 @@ def enumerate_cfs_of_order(q: int) -> list[HjCf]:
     """
     if q < 2:
         raise ValueError(f"order must be >= 2, got {q}")
-    seen: set[tuple[int, ...]] = set()
+    chains = (_expand_entries(q, q1) for q1, _ in _unit_pairs(q))
+    return [HjCf(e) for e in sorted(min(e, e[::-1]) for e in chains)]
+
+
+def _unit_pairs(q: int) -> Iterator[tuple[int, int]]:
+    """The chain classes of order q up to reversal, as unit pairs (q1, ql).
+
+    The chain of q/q1 read backwards is the chain of q/ql, ql = q1^-1 mod q,
+    so a class is the pair {q1, ql}; each is yielded once, with q1 <= ql.
+    """
     for q1 in range(1, q):
-        if gcd(q, q1) != 1:
-            continue
-        ent = _expand_entries(q, q1)
-        seen.add(min(ent, ent[::-1]))
-    return [HjCf(e) for e in sorted(seen)]
+        if gcd(q, q1) == 1:
+            ql = pow(q1, -1, q)
+            if q1 <= ql:
+                yield q1, ql
 
 
 def _chain_shape(q: int, q1: int) -> tuple[int, int]:

@@ -39,8 +39,6 @@ __all__ = [
     "m_upper_bound",
     "solve_dioph",
     "minimal_curve_m",
-    "aggregated_problem",
-    "component_problem",
 ]
 
 

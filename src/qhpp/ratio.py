@@ -10,6 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
+__all__ = ["format_rational", "is_positive_square", "parse_rational", "rational_sqrt"]
+
 
 def parse_rational(text: str) -> Fraction:
     """Parse ``"p/q"`` or a bare integer string into a Fraction."""

@@ -124,12 +124,6 @@ class SurfaceCandidate:
             gcd(qs[i], qs[j]) == 1 for i in range(len(qs)) for j in range(i + 1, len(qs))
         )
 
-    def canonical_key(self) -> tuple:
-        return (
-            tuple(sorted(self.orders)),
-            tuple(sorted(s.cf.canonical().entries for s in self.sings)),
-        )
-
 
 def candidate_invariants(
     sings: list[HjCf | str], c: int = 1

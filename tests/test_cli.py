@@ -326,6 +326,9 @@ def test_nested_fixture_value_of_the_wrong_shape_is_input_error(
          "step5.sub_cases[0].p3 names no singularity: the chain is empty"),
         ("step6", ("table1", "rows", 23, "no"), 25,
          "step6.case24 names row 24, which table1.rows lacks"),
+        ("step5", ("gram", 0, "edges", 0), [0, 99],
+         "gram[0].edges[0] names vertex 99, which gram[0].diag lacks"),
+        ("step5", ("gram", 0, "edges", 0), [1, 1], "gram[0].edges[0] joins vertex 1 to itself"),
     ],
 )
 def test_fixture_value_naming_something_absent_is_input_error(
@@ -336,6 +339,28 @@ def test_fixture_value_naming_something_absent_is_input_error(
     code, out, err = run(capsys, "enumerate", "--pipeline", pipeline)
     assert code == 2 and out == ""
     assert err == f"error: {tables}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    ("no", "mismatch", "tally"),
+    [
+        # row 15 violates L where its fixture case has sweep branches
+        (15, "step6 case 15: expected sweep branches", "only 2 of 3"),
+        # row 1 becomes residual and has no fixture case
+        (1, "step6 case 1: no fixture case for this residual row", "only 3 of 4"),
+    ],
+)
+def test_step6_residual_row_unlike_its_fixture_case_is_a_mismatch(
+    capsys, tables, no, mismatch, tally
+):
+    rows = fx._load(None)["table1"]["rows"]
+    assert (rows[no - 1]["no"], rows[23]["no"]) == (no, 24)
+    write_edited_tables(tables, ("table1", "rows", no - 1, "sings"), rows[23]["sings"])
+    code, out, _ = run(capsys, "enumerate", "--pipeline", "step6", "--format", "json")
+    assert code == 1
+    mismatches = json.loads(out)["mismatches"]
+    assert mismatch in mismatches
+    assert mismatches[-1] == f"step6: {tally} residual rows eliminated"
 
 
 CORRUPTED = {
@@ -393,6 +418,12 @@ def test_missing_subcommand_is_usage_error(capsys):
 
 def test_verify_requires_all_flag(capsys):
     assert main(["verify"]) == 2
+
+
+def test_verify_has_no_threads_flag(capsys):
+    code, out, err = run(capsys, "verify", "--all", "--threads", "2")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --threads 2" in err
 
 
 # ---------------------------------------------------------------------------

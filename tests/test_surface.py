@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from qhpp.checks import _random_candidate
 from qhpp.hjcf import HjCf
 from qhpp.ratio import format_rational, is_positive_square, parse_rational, rational_sqrt
 from qhpp.surface import (
@@ -183,9 +184,12 @@ def test_candidate_serialization_schema():
     json.dumps(d)  # must be JSON-ready
 
 
-def test_d_value_can_be_non_integer():
+def test_d_value_is_an_integer():
+    # each Dp.K has a denominator dividing its order q, and q divides det R
+    rng = random.Random(2024)
+    for _ in range(2_000):
+        assert _random_candidate(rng).d_value.denominator == 1
     cand = candidate_invariants(["[3]", "[4,3]"])
-    assert cand.d_value.denominator > 1 or cand.d_value.denominator == 1
     assert cand.d_value == cand.det_r * cand.ks2
     assert not is_positive_square(Fraction(1, 2))
 

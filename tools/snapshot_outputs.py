@@ -7,9 +7,10 @@ every pipeline P and every format F, and a fixed set of single requests
 (``cf-info``, ``candidate``, ``gram``, ``dioph``, a usage error and
 ``--help``), each in a fresh interpreter on the ``src/`` of CHECKOUT
 (default: the checkout holding this script), with the bundled reference
-tables and an 80-column terminal width.  Each file holds the command's
-stdout, then its stderr, then a line ``rc=N`` with its exit code.  A
-refactor keeps these bytes: snapshot the parent and the change into two
+tables and an 80-column terminal width.  ``api.txt`` lists the sorted
+``__all__`` of ``qhpp`` and of each of its modules.  Each file holds the
+command's stdout, then its stderr, then a line ``rc=N`` with its exit code.
+A refactor keeps these bytes: snapshot the parent and the change into two
 directories and compare them with ``diff -r``.
 """
 
@@ -36,17 +37,27 @@ REQUESTS = {
     "usage-error.txt": ["candidate"],
     "help.txt": ["--help"],
 }
+API = """
+import importlib, pkgutil, qhpp
+for name in ["qhpp"] + sorted(f"qhpp.{m.name}" for m in pkgutil.iter_modules(qhpp.__path__)):
+    names = getattr(importlib.import_module(name), "__all__", None)
+    print(name if names is not None else f"{name} has no __all__")
+    for attr in sorted(names or ()):
+        print("   ", attr)
+"""
 
 
 def commands() -> dict[str, list[str]]:
-    """File name -> CLI arguments, for every command the snapshot covers."""
+    """File name -> interpreter arguments, for every command the snapshot
+    covers."""
     out = {"verify--all.txt": ["verify", "--all"]}
     for pipeline in PIPELINES:
         for fmt in FORMATS:
             out[f"enumerate-{pipeline}-{fmt}.txt"] = [
                 "enumerate", "--pipeline", pipeline, "--format", fmt,
             ]
-    return {**out, **REQUESTS}
+    out = {name: ["-m", "qhpp.cli", *args] for name, args in {**out, **REQUESTS}.items()}
+    return {**out, "api.txt": ["-c", API]}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -59,9 +70,9 @@ def main(argv: list[str] | None = None) -> int:
     env["PYTHONPATH"] = os.path.join(os.path.abspath(args.root), "src")
     env["COLUMNS"] = "80"
     os.makedirs(args.dir, exist_ok=True)
-    for name, cli_args in commands().items():
+    for name, py_args in commands().items():
         proc = subprocess.run(
-            [sys.executable, "-m", "qhpp.cli", *cli_args],
+            [sys.executable, *py_args],
             capture_output=True, env=env, cwd=args.root, check=False,
         )
         with open(os.path.join(args.dir, name), "wb") as fh:
