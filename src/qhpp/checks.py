@@ -284,6 +284,32 @@ def check_esq_identity(n_random: int = 10_000, seed: int = 2024) -> CheckResult:
     return CheckResult("esq_identity", True, f"{n_random} random incidences")
 
 
+def _relaxed_ek_bound(curve: CurveClass) -> Fraction:
+    """-sum_p sum_j (1 - 2/n_j) EA_j, one integer numerator over the lcm of
+    the entries."""
+    sings, rows = curve.cand.sings, curve.incidence.rows
+    den = lcm(*(n for s in sings for n in s.cf.entries))
+    num = sum(
+        (n - 2) * x * (den // n)
+        for s, row in zip(sings, rows)
+        for n, x in zip(s.cf.entries, row)
+        if x
+    )
+    return Fraction(-num, den)
+
+
+def _diagonal_esq_bound(curve: CurveClass) -> Fraction:
+    """-sum_p sum_j (v_j u_j / q_p) EA_j^2, one integer numerator over det R."""
+    det_r = curve.cand.det_r
+    num = 0
+    for s, row in zip(curve.cand.sings, curve.incidence.rows):
+        u, v = s.cf.u_seq, s.cf.v_seq
+        part = sum(v[j] * u[j] * x * x for j, x in enumerate(row, 1) if x)
+        if part:
+            num += part * (det_r // s.q)
+    return Fraction(-num, det_r)
+
+
 def check_prop_int_inequalities(n_random: int = 2_000, seed: int = 2025) -> CheckResult:
     """For non-negative incidences: E.K is at most the relaxed bound with
     weights 1 - 2/n_j, and the E^2 sum dominates the diagonal terms."""
@@ -297,19 +323,9 @@ def check_prop_int_inequalities(n_random: int = 2_000, seed: int = 2025) -> Chec
                     hits[(p, j)] = rng.randint(0, 3)
         inc = Incidence.from_hits(cand, hits)
         curve = CurveClass(0, cand, inc)
-        relaxed = -sum(
-            (1 - Fraction(2, s.cf.entries[j - 1])) * inc.rows[p][j - 1]
-            for p, s in enumerate(cand.sings)
-            for j in range(1, s.l + 1)
-        )
-        if ek_formula(curve) > relaxed:
+        if ek_formula(curve) > _relaxed_ek_bound(curve):
             return CheckResult("prop_int_inequalities", False, f"ek case {i}")
-        diag = -sum(
-            Fraction(s.cf.v_seq[j] * s.cf.u_seq[j], s.q) * inc.rows[p][j - 1] ** 2
-            for p, s in enumerate(cand.sings)
-            for j in range(1, s.l + 1)
-        )
-        if esq_formula(curve) > diag:
+        if esq_formula(curve) > _diagonal_esq_bound(curve):
             return CheckResult("prop_int_inequalities", False, f"esq case {i}")
         double = CurveClass(0, cand, Incidence(tuple(tuple(2 * x for x in row) for row in inc.rows)))
         if degree_sum(double) != 2 * degree_sum(curve):

@@ -15,7 +15,7 @@ import json
 import sys
 
 from .checks import run_all_checks
-from .enumeration import PIPELINES, PipelineReport, run_pipeline
+from .enumeration import PIPELINES, PipelineReport, _check_q_cap, run_pipeline
 from .fixtures import ENV_VAR, load_fixtures
 from .hjcf import parse_cf
 from .obstruction import DiophProblem, solve_dioph
@@ -169,6 +169,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _check_q_cap(args.cap)
     ok = True
     for name in PIPELINES:
         cap = args.cap if name == "noA2" else None

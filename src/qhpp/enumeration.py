@@ -96,7 +96,7 @@ def _chains_key(cfs: list[HjCf]) -> tuple:
 
 def _survivor_dict(cand: SurfaceCandidate) -> dict:
     d = candidate_to_dict(cand)
-    d["cmp"] = "<" if cand.ks2 <= 3 * cand.e_orb else ">"
+    d["cmp"] = "<" if cand.D <= 3 * cand.E else ">"
     return d
 
 
@@ -158,11 +158,11 @@ def _scan(
     report = PipelineReport(label)
     cands = [candidate_invariants(case) for case in cases]
     square = {
-        _chains_key(case): c for case, c in zip(cases, cands) if is_positive_square(c.d_value)
+        _chains_key(case): c for case, c in zip(cases, cands) if is_positive_square(c.D)
     }
     report.stages = [(first, len(cases)), ("D_square", len(square))]
     if bmy:
-        survivors_bmy = {k for k, c in square.items() if c.ks2 <= 3 * c.e_orb}
+        survivors_bmy = {k for k, c in square.items() if c.D <= 3 * c.E}
         report.stages.append(("BMY", len(survivors_bmy)))
     counts = fixture["stage_counts"]
     for name, count in report.stages:
@@ -292,6 +292,20 @@ def table1_pipeline() -> PipelineReport:
 
 _NOA2_THIRDS = ("[2,2,2,2]", "[3,2]", "[5]")
 
+# The largest order cap the noA2 scan accepts.  The scan grows a little
+# faster than the square of its cap (about 1.3 s at cap 2000, 41 s at 12,000
+# and 89 s at 16,000 on a 2-vCPU host with Python 3.11), and the witness it
+# re-checks is proved for every order, so a larger cap would only run longer.
+NOA2_CAP_CEILING = 12_000
+
+
+def _check_q_cap(q_cap: int) -> None:
+    """Reject a noA2 order cap below 7 or above NOA2_CAP_CEILING."""
+    if q_cap < 7:
+        raise ValueError("q_cap must be at least 7")
+    if q_cap > NOA2_CAP_CEILING:
+        raise ValueError(f"q_cap must be at most {NOA2_CAP_CEILING:,}, got {q_cap:,}")
+
 
 def noA2_scan(q_cap: int = 500) -> PipelineReport:
     """Show the order-3 singularity cannot be a chain [2,2] in any (2,3,5,q)
@@ -319,8 +333,7 @@ def noA2_scan(q_cap: int = 500) -> PipelineReport:
     name it in the report; failures keep the order of a scan over the
     canonical chains of each q.
     """
-    if q_cap < 7:
-        raise ValueError("q_cap must be at least 7")
+    _check_q_cap(q_cap)
     report = PipelineReport("noA2")
     n_cfs = 0
     squares: list[str] = []
@@ -370,7 +383,7 @@ def noA2_scan(q_cap: int = 500) -> PipelineReport:
     for ex in load_fixtures()["noA2_examples"]:
         cf = parse_cf(ex["cf"])
         cand = candidate_invariants(["[2]", "[2,2]", ex["third"], cf])
-        _expect(report, "noA2", f"example q={ex['q']} D", format_rational(cand.d_value), ex["D"])
+        _expect(report, "noA2", f"example q={ex['q']} D", format_rational(cand.D), ex["D"])
     return report
 
 
@@ -489,7 +502,7 @@ def l11_rationality_checks() -> PipelineReport:
         result = {
             "case": case["case"],
             "sings": row["sings"],
-            "D": format_rational(cand.d_value),
+            "D": format_rational(cand.D),
             "D_prime": format_rational(cand.d_prime),
         }
         _expect(report, label, "D", result["D"], case["D"])
@@ -630,16 +643,16 @@ def step5_pipeline() -> PipelineReport:
             cf = HjCf(ent)
             cand = candidate_invariants([HjCf([2]), HjCf([3]), p3, cf])
             passes = (
-                cand.ks2 > 0
+                cand.D > 0
                 and gcd(cf.q, 30) == 1
-                and is_positive_square(cand.d_value)
+                and is_positive_square(cand.D)
             )
             cases.append(
                 {
                     "cf": str(cf),
                     "q": cf.q,
                     "ks2": format_rational(cand.ks2),
-                    "D": format_rational(cand.d_value),
+                    "D": format_rational(cand.D),
                     "passes_all": passes,
                 }
             )
@@ -785,6 +798,12 @@ def step6_classification() -> PipelineReport:
         label = f"step6 case {no}"
         fx = fixture.get(f"case{no}")
         cand = candidate_invariants(list(rows_by_no[no]["sings"]))
+        if not is_positive_square(cand.d_prime):
+            # the sweep's leading coefficients need sqrt(D')
+            report.mismatches.append(
+                f"{label}: D' computed {format_rational(cand.d_prime)}, not a positive square"
+            )
+            continue
         sweep = report.details[f"case{no}"] = _residual_sweep(cand)
         if fx is None:
             report.mismatches.append(f"{label}: no fixture case for this residual row")

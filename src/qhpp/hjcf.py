@@ -46,18 +46,24 @@ class HjCf:
     __slots__ = ("entries", "u_seq", "v_seq")
 
     def __init__(self, entries: Iterable[int] = ()):
-        ent = tuple(int(n) for n in entries)
-        if any(n < 2 for n in ent):
+        ent = tuple(map(int, entries))
+        if ent and min(ent) < 2:
             raise ValueError(f"chain entries must all be >= 2, got {list(ent)}")
         u = [0, 1]
+        a, b = 0, 1
         for n in ent:
-            u.append(n * u[-1] - u[-2])
+            a, b = b, n * b - a
+            u.append(b)
         w = [0, 1]
+        a, b = 0, 1
         for n in reversed(ent):
-            w.append(n * w[-1] - w[-2])
-        object.__setattr__(self, "entries", ent)
-        object.__setattr__(self, "u_seq", tuple(u))
-        object.__setattr__(self, "v_seq", tuple(reversed(w)))
+            a, b = b, n * b - a
+            w.append(b)
+        w.reverse()
+        _set = object.__setattr__
+        _set(self, "entries", ent)
+        _set(self, "u_seq", tuple(u))
+        _set(self, "v_seq", tuple(w))
 
     def __setattr__(self, name, value):
         raise AttributeError("HjCf is immutable")

@@ -91,15 +91,19 @@ class CurveClass:
 
 
 def degree_sum(curve: CurveClass) -> Fraction:
-    """sum_p sum_j (1 - (v_j+u_j)/q) E.A(j,p), the adjunction-weighted degree."""
-    total = Fraction(0)
+    """sum_p sum_j (1 - (v_j+u_j)/q) E.A(j,p), the adjunction-weighted degree.
+
+    Each chain's share is an integer numerator over q_p, scaled by
+    det R / q_p into one integer numerator over det R.
+    """
+    det_r = curve.cand.det_r
+    num = 0
     for sing, row in zip(curve.cand.sings, curve.incidence.rows):
         q, u, v = sing.q, sing.cf.u_seq, sing.cf.v_seq
-        # one integer numerator over q per chain
-        num = sum((q - u[j] - v[j]) * ea for j, ea in enumerate(row, 1) if ea)
-        if num:
-            total += Fraction(num, q)
-    return total
+        part = sum((q - u[j] - v[j]) * ea for j, ea in enumerate(row, 1) if ea)
+        if part:
+            num += part * (det_r // q)
+    return Fraction(num, det_r)
 
 
 def local_discrepancy(sing: CyclicSing, incidence_row: tuple[int, ...], j: int) -> Fraction:
@@ -123,35 +127,37 @@ def local_discrepancy(sing: CyclicSing, incidence_row: tuple[int, ...], j: int) 
     return total
 
 
-def _leading_ek_term(curve: CurveClass) -> Fraction:
+def ek_formula(curve: CurveClass) -> Fraction:
+    """E.K on the minimal resolution; the leading term (+-m/sqrt(D')) K^2
+    needs D' to be a rational square, and is skipped when m = 0."""
+    tail = degree_sum(curve)
     if curve.m == 0:
-        return Fraction(0)
+        return -tail
     sqrt_dp = rational_sqrt(curve.cand.d_prime)
     sign = 1 if curve.regime is Regime.K_AMPLE else -1
-    return sign * Fraction(curve.m) / sqrt_dp * curve.cand.ks2
+    return sign * Fraction(curve.m) / sqrt_dp * curve.cand.ks2 - tail
 
 
-def ek_formula(curve: CurveClass) -> Fraction:
-    """E.K on the minimal resolution; needs D' to be a rational square."""
-    return _leading_ek_term(curve) - degree_sum(curve)
-
-
-def _leading_esq_term(curve: CurveClass) -> Fraction:
-    """(m^2/D') K^2, the leading term of E^2; needs D' to be a rational square."""
+def _esq_from_tail(curve: CurveClass, num: int) -> Fraction:
+    """(m^2/D') K^2 - num/det R: E^2 from the integer numerator of its
+    discrepancy sum over det R.  The leading term needs D' to be a rational
+    square, and is skipped when m = 0."""
+    tail = Fraction(-num, curve.cand.det_r)
     if curve.m == 0:
-        return Fraction(0)
+        return tail
     rational_sqrt(curve.cand.d_prime)
-    return Fraction(curve.m * curve.m) / curve.cand.d_prime * curve.cand.ks2
+    return Fraction(curve.m * curve.m) / curve.cand.d_prime * curve.cand.ks2 + tail
 
 
 def esq_formula(curve: CurveClass) -> Fraction:
     """E^2 from the full double sum of local discrepancies.
 
-    Each chain's share, sum_j EA_j * local_discrepancy(j), is summed as one
-    integer numerator over q.
+    Each chain's share, sum_j EA_j * local_discrepancy(j), is an integer
+    numerator over q_p; scaled by det R / q_p, the shares add up to one
+    integer numerator over det R.
     """
-    lead = _leading_esq_term(curve)
-    total = Fraction(0)
+    det_r = curve.cand.det_r
+    total = 0
     for sing, row in zip(curve.cand.sings, curve.incidence.rows):
         u, v = sing.cf.u_seq, sing.cf.v_seq
         num = 0
@@ -162,8 +168,8 @@ def esq_formula(curve: CurveClass) -> Fraction:
                 if ea_k:
                     num += (v[j] * u[k] if k <= j else v[k] * u[j]) * ea_k * ea_j
         if num:
-            total += Fraction(num, sing.q)
-    return lead - total
+            total += num * (det_r // sing.q)
+    return _esq_from_tail(curve, total)
 
 
 def esq_two_component(curve: CurveClass) -> Fraction:
@@ -172,8 +178,8 @@ def esq_two_component(curve: CurveClass) -> Fraction:
     Must agree with esq_formula wherever it applies; rejects incidences with
     three or more nonzero entries on one chain.
     """
-    lead = _leading_esq_term(curve)
-    total = Fraction(0)
+    det_r = curve.cand.det_r
+    total = 0
     for sing, row in zip(curve.cand.sings, curve.incidence.rows):
         support = [j for j in range(1, sing.l + 1) if row[j - 1]]
         if len(support) > 2:
@@ -190,8 +196,8 @@ def esq_two_component(curve: CurveClass) -> Fraction:
             ea_s, ea_t = row[s - 1], row[t - 1]
             num += v[t] * u[t] * ea_t * ea_t + 2 * v[t] * u[s] * ea_s * ea_t
         if num:
-            total += Fraction(num, sing.q)
-    return lead - total
+            total += num * (det_r // sing.q)
+    return _esq_from_tail(curve, total)
 
 
 def m_upper_bound(d_prime: Fraction | int, L: int) -> Fraction:

@@ -16,6 +16,11 @@ The key derived numbers are, with f: S' -> S the minimal resolution:
   which must be a positive perfect square for the candidate to survive;
 * D' = D / c^2 when the exceptional lattice has primitive closure of
   index c (c = 1 whenever the orders are pairwise coprime).
+
+Every order divides det R, so D and E = det R * e_orb are integers, and the
+kernel computes them as integer sums; K^2, e_orb and D' are D and E over
+det R and c^2.  Since det R > 0, the orbifold BMY bound K^2 <= 3 e_orb reads
+D <= 3E, and e_orb >= 0 reads E >= 0.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 
 from .hjcf import HjCf, parse_cf
@@ -44,7 +49,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CyclicSing:
-    """A cyclic quotient singularity with its resolution-divisor data."""
+    """A cyclic quotient singularity with its resolution-divisor data.
+
+    ``dp_dot_k_num`` is the integer q * Dp.K, the numerator the candidate
+    kernel sums over det R.
+    """
 
     cf: HjCf
     q: int
@@ -52,6 +61,7 @@ class CyclicSing:
     dp_dot_k: Fraction
     dp_sq: Fraction
     ep_sq: Fraction
+    dp_dot_k_num: int
 
     @property
     def l(self) -> int:
@@ -97,21 +107,41 @@ def _dp_data(cf: HjCf) -> CyclicSing:
         dp_dot_k=dot_k,
         dp_sq=-dot_k,
         ep_sq=-Fraction(cf.ql, q),
+        dp_dot_k_num=dot_k_num,
     )
 
 
 @dataclass(frozen=True)
 class SurfaceCandidate:
-    """A list of cyclic singularities with all derived surface invariants."""
+    """A list of cyclic singularities with all derived surface invariants.
+
+    ``D`` = det R * K^2 and ``E`` = det R * e_orb are the integers the
+    kernel computes; ``ks2``, ``d_value``, ``e_orb`` and ``d_prime`` are
+    built from them on first use, one Fraction each.
+    """
 
     sings: tuple[CyclicSing, ...]
     c: int
     L: int
-    ks2: Fraction
     det_r: int
-    d_value: Fraction
-    e_orb: Fraction
-    d_prime: Fraction
+    D: int
+    E: int
+
+    @cached_property
+    def ks2(self) -> Fraction:
+        return Fraction(self.D, self.det_r)
+
+    @cached_property
+    def d_value(self) -> Fraction:
+        return Fraction(self.D)
+
+    @cached_property
+    def e_orb(self) -> Fraction:
+        return Fraction(self.E, self.det_r)
+
+    @cached_property
+    def d_prime(self) -> Fraction:
+        return Fraction(self.D, self.c * self.c)
 
     @property
     def orders(self) -> tuple[int, ...]:
@@ -133,30 +163,29 @@ def candidate_invariants(
     ``c`` is the index of the primitive closure of the exceptional lattice;
     it is caller-supplied (default 1).  c^2 must divide det R so that
     det R / c^2 is an integer, and pairwise coprime orders force c = 1.
+
+    With s_p = det R / q_p, the invariants are the integer sums
+    D = (9 - L) det R + sum_p (q_p Dp.K) s_p and E = 3 det R - sum_p (det R - s_p).
     """
     data = tuple(dp_data(cf) for cf in sings)
     if not data:
         raise ValueError("a candidate needs at least one singularity")
     if c < 1:
         raise ValueError(f"c must be a positive integer, got {c}")
-    L = sum(s.l for s in data)
+    L = 0
     det_r = 1
     for s in data:
+        L += s.l
         det_r *= s.q
     if det_r % (c * c) != 0:
         raise ValueError(f"c={c} rejected: c^2 does not divide det R = {det_r}")
-    ks2 = (9 - L) + sum((s.dp_dot_k for s in data), start=Fraction(0))
-    e_orb = 3 - sum((1 - Fraction(1, s.q) for s in data), start=Fraction(0))
-    cand = SurfaceCandidate(
-        sings=data,
-        c=c,
-        L=L,
-        ks2=ks2,
-        det_r=det_r,
-        d_value=det_r * ks2,
-        e_orb=e_orb,
-        d_prime=Fraction(det_r * ks2, c * c),
-    )
+    d = (9 - L) * det_r
+    e = 3 * det_r
+    for s in data:
+        share = det_r // s.q
+        d += s.dp_dot_k_num * share
+        e -= det_r - share
+    cand = SurfaceCandidate(sings=data, c=c, L=L, det_r=det_r, D=d, E=e)
     if c != 1 and cand.pairwise_coprime:
         raise ValueError(
             f"c={c} rejected: pairwise coprime orders {cand.orders} force c=1"
@@ -181,11 +210,13 @@ class BmyStatus(enum.Enum):
 
 
 def bmy_status(cand: SurfaceCandidate) -> BmyStatus:
-    if cand.e_orb < 0:
+    """The class of the candidate, read off the integers D and E (the
+    inequalities on K^2 and e_orb times det R > 0)."""
+    if cand.E < 0:
         return BmyStatus.E_ORB_NEGATIVE
-    if cand.ks2 <= 0:
+    if cand.D <= 0:
         return BmyStatus.OK
-    if cand.ks2 <= 3 * cand.e_orb:
+    if cand.D <= 3 * cand.E:
         return BmyStatus.OK_K_AMPLE
     return BmyStatus.VIOLATES_K_AMPLE
 
@@ -198,9 +229,9 @@ def candidate_to_dict(cand: SurfaceCandidate) -> dict:
         "L": cand.L,
         "ks2": format_rational(cand.ks2),
         "detR": cand.det_r,
-        "D": format_rational(cand.d_value),
-        "D_square": is_positive_square(cand.d_value),
-        "three_e_orb": format_rational(3 * cand.e_orb),
+        "D": format_rational(cand.D),
+        "D_square": is_positive_square(cand.D),
+        "three_e_orb": format_rational(Fraction(3 * cand.E, cand.det_r)),
         "bmy": bmy_status(cand).value,
     }
 

@@ -12,6 +12,7 @@ import pytest
 
 import qhpp
 import qhpp.fixtures as fx
+from qhpp import enumeration
 from qhpp.cli import main
 
 # ---------------------------------------------------------------------------
@@ -224,6 +225,25 @@ def test_enumerate_cap_is_checked(capsys):
     assert "q_cap must be at least 7" in err
 
 
+@pytest.mark.parametrize(
+    ("cap", "message"),
+    [
+        (3, "q_cap must be at least 7"),
+        (enumeration.NOA2_CAP_CEILING + 1, "q_cap must be at most 12,000, got 12,001"),
+    ],
+)
+@pytest.mark.parametrize("argv", [("enumerate", "--pipeline", "noA2"), ("verify", "--all")])
+def test_noA2_cap_out_of_range_is_input_error_before_any_output(
+    capsys, monkeypatch, argv, cap, message
+):
+    def no_scan(q):
+        raise AssertionError("the noA2 scan started")
+
+    monkeypatch.setattr(enumeration, "_unit_pairs", no_scan)
+    code, out, err = run(capsys, *argv, "--cap", str(cap))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 # ---------------------------------------------------------------------------
 # reference tables given through the environment
 # ---------------------------------------------------------------------------
@@ -361,6 +381,18 @@ def test_step6_residual_row_unlike_its_fixture_case_is_a_mismatch(
     mismatches = json.loads(out)["mismatches"]
     assert mismatch in mismatches
     assert mismatches[-1] == f"step6: {tally} residual rows eliminated"
+
+
+def test_step6_residual_row_with_a_non_square_d_prime_is_a_mismatch(capsys, tables):
+    # row 15 stays residual, but its D' = 456 has no square root for the sweep
+    sings = ["[2]", "[3]", "[3,2,2]", "[3,2,2,2]"]
+    write_edited_tables(tables, ("table1", "rows", 14, "sings"), sings)
+    code, out, err = run(capsys, "enumerate", "--pipeline", "step6", "--format", "json")
+    assert (code, err) == (1, "")
+    assert json.loads(out)["mismatches"] == [
+        "step6 case 15: D' computed 456, not a positive square",
+        "step6: only 2 of 3 residual rows eliminated",
+    ]
 
 
 CORRUPTED = {

@@ -2,10 +2,14 @@
 
 The reference functions below are the former bodies of the grid oracle
 `checks._brute_force_dioph`, of Dp.K in `surface.dp_data`, of
+`surface.candidate_invariants` and `bmy_status`, of
 `obstruction.degree_sum`, `esq_formula` and `esq_two_component`, of the
-dense form in `checks.check_dp_closed_form` and of the unit and pair loop of
-`checks.check_uv_inequalities`.  Each works term by term in `Fraction`
-arithmetic (or, for the uv loop, through the general predicate `holds`).
+two bounds of `checks.check_prop_int_inequalities`, of the dense form in
+`checks.check_dp_closed_form`, of the unit and pair loop of
+`checks.check_uv_inequalities` and of the recurrences in `HjCf.__init__`.
+Each works term by term in `Fraction` arithmetic (or, for the uv loop,
+through the general predicate `holds`, and for the chain sequences, by list
+indexing).
 """
 
 import types
@@ -16,7 +20,7 @@ from types import SimpleNamespace
 import pytest
 
 import qhpp.surface
-from qhpp import checks
+from qhpp import checks, enumeration
 from qhpp.hjcf import HjCf
 from qhpp.obstruction import (
     CurveClass,
@@ -27,7 +31,7 @@ from qhpp.obstruction import (
     esq_two_component,
     local_discrepancy,
 )
-from qhpp.surface import candidate_invariants, dp_data
+from qhpp.surface import BmyStatus, bmy_status, candidate_invariants, dp_data
 
 # ---------------------------------------------------------------------------
 # the former Fraction code
@@ -61,6 +65,39 @@ def reference_dp_dot_k(cf: HjCf) -> Fraction:
         1 - Fraction(cf.v_seq[j] + cf.u_seq[j], cf.q) for j in range(1, cf.l + 1)
     )
     return sum((c * (n - 2) for c, n in zip(coeffs, cf.entries)), start=Fraction(0))
+
+
+def reference_candidate_invariants(cfs: list[HjCf], c: int = 1) -> tuple:
+    """(K^2, D, e_orb, D', L, det R) as running Fraction sums."""
+    data = [dp_data(cf) for cf in cfs]
+    L = sum(s.l for s in data)
+    det_r = 1
+    for s in data:
+        det_r *= s.q
+    ks2 = (9 - L) + sum((s.dp_dot_k for s in data), start=Fraction(0))
+    e_orb = 3 - sum((1 - Fraction(1, s.q) for s in data), start=Fraction(0))
+    return ks2, det_r * ks2, e_orb, Fraction(det_r * ks2, c * c), L, det_r
+
+
+def reference_bmy_status(ks2: Fraction, e_orb: Fraction) -> BmyStatus:
+    if e_orb < 0:
+        return BmyStatus.E_ORB_NEGATIVE
+    if ks2 <= 0:
+        return BmyStatus.OK
+    if ks2 <= 3 * e_orb:
+        return BmyStatus.OK_K_AMPLE
+    return BmyStatus.VIOLATES_K_AMPLE
+
+
+def reference_chain_sequences(entries: tuple[int, ...]) -> tuple[tuple, tuple]:
+    """(u, v) of a chain by the list-indexing recurrences."""
+    u = [0, 1]
+    for n in entries:
+        u.append(n * u[-1] - u[-2])
+    w = [0, 1]
+    for n in reversed(entries):
+        w.append(n * w[-1] - w[-2])
+    return tuple(u), tuple(reversed(w))
 
 
 def reference_degree_sum(curve: CurveClass) -> Fraction:
@@ -106,6 +143,24 @@ def reference_esq_two_component(curve: CurveClass) -> Fraction:
     return _reference_lead(curve) - total
 
 
+def reference_relaxed_ek_bound(curve: CurveClass) -> Fraction:
+    cand, inc = curve.cand, curve.incidence
+    return -sum(
+        (1 - Fraction(2, s.cf.entries[j - 1])) * inc.rows[p][j - 1]
+        for p, s in enumerate(cand.sings)
+        for j in range(1, s.l + 1)
+    )
+
+
+def reference_diagonal_esq_bound(curve: CurveClass) -> Fraction:
+    cand, inc = curve.cand, curve.incidence
+    return -sum(
+        Fraction(s.cf.v_seq[j] * s.cf.u_seq[j], s.q) * inc.rows[p][j - 1] ** 2
+        for p, s in enumerate(cand.sings)
+        for j in range(1, s.l + 1)
+    )
+
+
 def reference_dense_dp_sq(cf: HjCf) -> Fraction:
     coeffs, n, l = dp_data(cf).dp_coeffs, cf.entries, cf.l
     dense = Fraction(0)
@@ -144,6 +199,21 @@ def recorded_calls(monkeypatch, module, name: str, run) -> list:
     def record(arg, *rest):
         seen.append(arg)
         return real(arg, *rest)
+
+    monkeypatch.setattr(module, name, record)
+    run()
+    monkeypatch.setattr(module, name, real)
+    return seen
+
+
+def recorded_results(monkeypatch, module, name: str, run) -> list:
+    """The return value of every call `run` makes to module.name."""
+    seen = []
+    real = getattr(module, name)
+
+    def record(*args, **kwargs):
+        seen.append(real(*args, **kwargs))
+        return seen[-1]
 
     monkeypatch.setattr(module, name, record)
     run()
@@ -203,6 +273,12 @@ def test_dp_data_matches_the_fraction_sums_on_every_chain():
         )
         if cf.l <= 12:
             assert reference_dense_dp_sq(cf) == data.dp_sq, cf
+
+
+def test_dp_data_keeps_the_integer_numerator_of_dp_dot_k():
+    for cf in checks._all_cfs(200):
+        data = dp_data(cf)
+        assert data.dp_dot_k_num == data.dp_dot_k * cf.q, cf
 
 
 def test_dense_form_check_catches_a_wrong_dp_sq(monkeypatch):
@@ -266,6 +342,16 @@ def test_curve_forms_match_on_the_seeded_corpora(monkeypatch, suite):
             assert esq_two_component(curve) == reference_esq_two_component(curve)
 
 
+def test_prop_int_bounds_match_the_fraction_sums_on_the_seeded_corpus(monkeypatch):
+    curves = recorded_calls(
+        monkeypatch, checks, "esq_formula", checks.check_prop_int_inequalities
+    )
+    assert len(curves) == 2_000
+    for curve in curves:
+        assert checks._relaxed_ek_bound(curve) == reference_relaxed_ek_bound(curve)
+        assert checks._diagonal_esq_bound(curve) == reference_diagonal_esq_bound(curve)
+
+
 # ---------------------------------------------------------------------------
 # the uv inequalities
 # ---------------------------------------------------------------------------
@@ -295,3 +381,86 @@ def test_uv_integer_predicates_agree_with_holds_where_they_fail():
             assert got == reference_uv_failures(fake), (cf, cut)
             seen += len(got)
     assert seen > 1_000
+
+
+# ---------------------------------------------------------------------------
+# candidate invariants
+# ---------------------------------------------------------------------------
+
+
+def _seeded_candidates(monkeypatch) -> list:
+    """Every candidate the seven pipelines and the three random suites build."""
+    def pipelines():
+        for fn in enumeration.PIPELINES.values():
+            fn()
+
+    def suites():
+        checks.check_esq_identity()
+        checks.check_prop_int_inequalities()
+        checks.check_reversal_invariance()
+
+    return recorded_results(
+        monkeypatch, enumeration, "candidate_invariants", pipelines
+    ) + recorded_results(monkeypatch, checks, "candidate_invariants", suites)
+
+
+def test_candidate_invariants_match_the_fraction_sums_on_the_seeded_corpora(monkeypatch):
+    cands = _seeded_candidates(monkeypatch)
+    # 10,000 + 2,000 + 3 x 500 from the suites, the rest from the pipelines
+    assert len(cands) > 13_500 + 1_000
+    assert {cand.c for cand in cands} == {1, 2, 3}
+    classes = set()
+    for cand in cands:
+        ref = reference_candidate_invariants([s.cf for s in cand.sings], cand.c)
+        got = (cand.ks2, cand.d_value, cand.e_orb, cand.d_prime, cand.L, cand.det_r)
+        assert got == ref, cand
+        status = bmy_status(cand)
+        assert status is reference_bmy_status(ref[0], ref[2]), cand
+        assert type(cand.D) is int and type(cand.E) is int
+        assert (cand.D, cand.E) == (ref[1], cand.det_r * ref[2])
+        classes.add(status)
+    assert classes == set(BmyStatus)
+
+
+@pytest.mark.parametrize(
+    ("sings", "D", "E", "status"),
+    [
+        # K^2 = 3 e_orb exactly
+        (["[2,2]"], 21, 7, BmyStatus.OK_K_AMPLE),
+        # K^2 = 0
+        (["[2,2,2,2,2,2,2,2,2]"], 0, 21, BmyStatus.OK),
+        # e_orb = 0, with K^2 > 0 and with K^2 < 0
+        (["[2]", "[2,2,2]", "[2,2,2,2,2,2,2]", "[8]"], 768, 0, BmyStatus.VIOLATES_K_AMPLE),
+        (["[2]", "[2,2,2]", "[2,2,2,2,2,2,2]", "[2,2,2,2,2,2,2]"], -4608, 0, BmyStatus.OK),
+    ],
+)
+def test_bmy_status_on_the_boundaries(sings, D, E, status):
+    cand = candidate_invariants(sings)
+    assert (cand.D, cand.E) == (D, E)
+    assert bmy_status(cand) is status is reference_bmy_status(cand.ks2, cand.e_orb)
+
+
+# ---------------------------------------------------------------------------
+# the chain constructor
+# ---------------------------------------------------------------------------
+
+
+def test_chain_sequences_match_the_indexed_recurrences_on_every_chain():
+    count = 0
+    for cf in checks._all_cfs(200):
+        for entries in (cf.entries, cf.entries[::-1]):
+            chain = HjCf(entries)
+            assert (chain.u_seq, chain.v_seq) == reference_chain_sequences(entries), entries
+            count += 1
+    assert count > 10_000
+    assert (HjCf().u_seq, HjCf().v_seq) == reference_chain_sequences(()) == ((0, 1), (1, 0))
+
+
+@pytest.mark.parametrize(
+    ("entries", "shown"),
+    [([3, 1], "[3, 1]"), ((2, 0, 5), "[2, 0, 5]"), (iter([-4]), "[-4]"), (["2", "1"], "[2, 1]")],
+)
+def test_chain_entry_below_two_keeps_its_error_text(entries, shown):
+    with pytest.raises(ValueError) as err:
+        HjCf(entries)
+    assert str(err.value) == f"chain entries must all be >= 2, got {shown}"
