@@ -22,8 +22,7 @@ from math import gcd
 from .fixtures import load_fixtures
 from .hjcf import (
     HjCf,
-    _chain_shape,
-    _unit_pairs,
+    _class_shapes,
     cf_from_pair,
     enumerate_cfs_by_shape,
     enumerate_cfs_of_order,
@@ -293,9 +292,10 @@ def table1_pipeline() -> PipelineReport:
 _NOA2_THIRDS = ("[2,2,2,2]", "[3,2]", "[5]")
 
 # The largest order cap the noA2 scan accepts.  The scan grows a little
-# faster than the square of its cap (about 1.3 s at cap 2000, 41 s at 12,000
-# and 89 s at 16,000 on a 2-vCPU host with Python 3.11), and the witness it
-# re-checks is proved for every order, so a larger cap would only run longer.
+# faster than the square of its cap (about 0.03, 0.09, 0.39 and 17.5 s at
+# caps 500, 1000, 2000 and 12,000 on a 2-vCPU host with Python 3.11), and
+# the witness it re-checks is proved for every order, so a larger cap would
+# only run longer.
 NOA2_CAP_CEILING = 12_000
 
 
@@ -329,9 +329,11 @@ def noA2_scan(q_cap: int = 500) -> PipelineReport:
     The forms need only q1, ql, the trace and the length of each chain, so
     the scan walks integers instead of chains: each class up to reversal is
     visited once, as the unit pair (q1, ql) that enumerate_cfs_of_order
-    expands (``_unit_pairs``).  Only a chain that fails a check is built, to
-    name it in the report; failures keep the order of a scan over the
-    canonical chains of each q.
+    expands, and ``_class_shapes`` derives the trace and length of the dual
+    class (q - ql, q - q1) from those of (q1, ql), so that one Euclid pass
+    serves two classes.  Only a chain that fails a check is built, to name
+    it in the report; failures keep the order of a scan over the canonical
+    chains of each q.
     """
     _check_q_cap(q_cap)
     report = PipelineReport("noA2")
@@ -343,21 +345,29 @@ def noA2_scan(q_cap: int = 500) -> PipelineReport:
         if gcd(q, 30) != 1:
             continue
         failed = []
-        for q1, ql in _unit_pairs(q):
+        q12 = 12 * q
+        for q1, ql, tr, l in _class_shapes(q):
             n_cfs += 1
-            tr, l = _chain_shape(q, q1)
-            x_a4 = q1 + ql + (tr - 3 * l) * q + 2
-            x_52 = 5 * (q1 + ql) + (5 * (tr - 3 * l) + 12) * q + 10
-            x_51 = 5 * (q1 + ql) + (5 * (tr - 3 * l) + 24) * q + 10
-            d_a4, d_52, d_51 = 30 * x_a4, 6 * x_52, 6 * x_51
-            # three direct calls rather than map: a call from Python code to a
-            # Python function skips the C call path, about 9 % of the scan
-            hits = (is_positive_square(d_a4), is_positive_square(d_52), is_positive_square(d_51))
+            s = q1 + ql + (tr - 3 * l) * q
+            x_a4 = s + 2
+            x_52 = 5 * s + q12 + 10
+            x_51 = x_52 + q12
+            # three direct calls through the module name: a call from Python
+            # code to a Python function skips the C call path of map, and the
+            # tracer counts the square tests at that name
+            hit_a4 = is_positive_square(30 * x_a4)
+            hit_52 = is_positive_square(6 * x_52)
+            hit_51 = is_positive_square(6 * x_51)
             trace_bad = (q1 + ql + tr * q) % 3 != 0
             form_bad = x_a4 % 3 == 0 or x_52 % 3 == 0 or x_51 % 3 == 0
-            if True in hits or trace_bad or form_bad:
-                ds = (d_a4, d_52, d_51)
-                failed.append((cf_from_pair(q, q1).canonical(), ds, hits, trace_bad, form_bad))
+            if hit_a4 or hit_52 or hit_51 or trace_bad or form_bad:
+                failed.append((
+                    cf_from_pair(q, q1).canonical(),
+                    (30 * x_a4, 6 * x_52, 6 * x_51),
+                    (hit_a4, hit_52, hit_51),
+                    trace_bad,
+                    form_bad,
+                ))
         failed.sort(key=lambda f: f[0].entries)
         for cf, ds, hits, trace_bad, form_bad in failed:
             squares.extend(
@@ -507,6 +517,13 @@ def l11_rationality_checks() -> PipelineReport:
         }
         _expect(report, label, "D", result["D"], case["D"])
         _expect(report, label, "D'", result["D_prime"], case["D_prime"])
+        if not is_positive_square(cand.d_prime):
+            # the m bound and the targets need sqrt(D')
+            report.mismatches.append(
+                f"{label}: D' computed {result['D_prime']}, not a positive square"
+            )
+            report.survivors.append(result)
+            continue
         bound = m_upper_bound(cand.d_prime, cand.L)
         result["m_bound"] = format_rational(bound)
         _expect(report, label, "m bound", result["m_bound"], case["m_bound"])

@@ -13,6 +13,7 @@ matrix is 1.
 
 from __future__ import annotations
 
+from itertools import compress
 from math import gcd
 from typing import Iterable, Iterator
 
@@ -220,17 +221,60 @@ def enumerate_cfs_of_order(q: int) -> list[HjCf]:
     return [HjCf(e) for e in sorted(min(e, e[::-1]) for e in chains)]
 
 
+def _units(q: int) -> bytearray:
+    """live[x] = 1 exactly when x is a unit mod q, for 0 <= x < q.
+
+    Each prime factor p of q, found by trial division, clears the multiples
+    of p in one slice assignment, in place of one gcd per residue.
+    """
+    live = bytearray(b"\x01") * q
+    live[0] = 0
+    n, p = q, 2
+    while p * p <= n:
+        if n % p == 0:
+            live[::p] = bytes(len(range(0, q, p)))
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        live[::n] = bytes(len(range(0, q, n)))
+    return live
+
+
 def _unit_pairs(q: int) -> Iterator[tuple[int, int]]:
     """The chain classes of order q up to reversal, as unit pairs (q1, ql).
 
     The chain of q/q1 read backwards is the chain of q/ql, ql = q1^-1 mod q,
-    so a class is the pair {q1, ql}; each is yielded once, with q1 <= ql.
+    so a class is the pair {q1, ql}; each is yielded once, with q1 <= ql,
+    in ascending q1.  The smallest live unit opens a class and clears ql,
+    so a class is met only at its smaller end.
     """
-    for q1 in range(1, q):
-        if gcd(q, q1) == 1:
-            ql = pow(q1, -1, q)
-            if q1 <= ql:
-                yield q1, ql
+    live = _units(q)
+    for q1 in compress(range(q), live):
+        ql = pow(q1, -1, q)
+        live[ql] = 0
+        yield q1, ql
+
+
+def _class_shapes(q: int) -> Iterator[tuple[int, int, int, int]]:
+    """(q1, ql, trace, length) once per chain class of order q, as in
+    _unit_pairs, but in no fixed order.
+
+    Riemenschneider duality: the chain of q/(q - q1) is the dual of the chain
+    of q/q1, and a chain of length l and trace tr has a dual of length
+    tr - 2l + 1 and trace 2tr - 3l + 1.  Its reverse is the dual of the
+    reversed chain, so the dual class is the unit pair (q - ql, q - q1).  One
+    pow and one Euclid pass therefore serve both classes of a dual pair; a
+    self-dual class (q - ql = q1) is yielded once.
+    """
+    live = _units(q)
+    for q1 in compress(range(q), live):
+        ql = pow(q1, -1, q)
+        live[ql] = live[q - q1] = live[q - ql] = 0
+        tr, l = _chain_shape(q, q1)
+        yield q1, ql, tr, l
+        if q - ql != q1:
+            yield q - ql, q - q1, 2 * tr - 3 * l + 1, tr - 2 * l + 1
 
 
 def _chain_shape(q: int, q1: int) -> tuple[int, int]:

@@ -42,7 +42,7 @@ def is_positive_square(x: Fraction | int) -> bool:
     positive integers that are not squares.
     """
     n = x.numerator
-    return n > 0 and isqrt(n) ** 2 == n and x.denominator == 1
+    return n > 0 and (r := isqrt(n)) * r == n and x.denominator == 1
 
 
 def rational_sqrt(x: Fraction | int) -> Fraction:

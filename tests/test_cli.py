@@ -12,7 +12,7 @@ import pytest
 
 import qhpp
 import qhpp.fixtures as fx
-from qhpp import enumeration
+from qhpp import enumeration, surface
 from qhpp.cli import main
 
 # ---------------------------------------------------------------------------
@@ -159,6 +159,18 @@ def test_gram_weighted_edge(capsys):
     assert out.strip() == "0"
 
 
+def test_gram_past_its_size_limit_is_input_error(capsys):
+    # a path of -2 curves has determinant (-1)^n (n + 1)
+    limit = surface.GRAM_SIZE_LIMIT
+    diag = ",".join(["-2"] * limit)
+    edges = ",".join(f"{i}-{i + 1}" for i in range(1, limit))
+    det = (-1) ** limit * (limit + 1)
+    assert run(capsys, "gram", "--diag", diag, "--edges", edges) == (0, f"{det}\n", "")
+    code, out, err = run(capsys, "gram", "--diag", diag + ",-2", "--edges", edges)
+    assert (code, out) == (2, "")
+    assert err == f"error: a Gram configuration has at most {limit} vertices, got {limit + 1}\n"
+
+
 # ---------------------------------------------------------------------------
 # enumerate
 # ---------------------------------------------------------------------------
@@ -239,7 +251,7 @@ def test_noA2_cap_out_of_range_is_input_error_before_any_output(
     def no_scan(q):
         raise AssertionError("the noA2 scan started")
 
-    monkeypatch.setattr(enumeration, "_unit_pairs", no_scan)
+    monkeypatch.setattr(enumeration, "_class_shapes", no_scan)
     code, out, err = run(capsys, *argv, "--cap", str(cap))
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
@@ -393,6 +405,23 @@ def test_step6_residual_row_with_a_non_square_d_prime_is_a_mismatch(capsys, tabl
         "step6 case 15: D' computed 456, not a positive square",
         "step6: only 2 of 3 residual rows eliminated",
     ]
+
+
+def test_l11_case_with_a_non_square_d_prime_is_a_mismatch(capsys, tables):
+    # q20 row 4 is l11 case 4 (c = 1); its D' = 1484 has no square root for
+    # the m bound
+    sings = ["[2]", "[3]", "[3,2]", "[3,2,2,3,2,2,3]"]
+    write_edited_tables(tables, ("q20", "rows", 3, "sings"), sings)
+    code, out, err = run(capsys, "enumerate", "--pipeline", "l11", "--format", "json")
+    assert (code, err) == (1, "")
+    report = json.loads(out)
+    assert report["mismatches"] == [
+        "l11 case 4: D computed 1484, fixture 16",
+        "l11 case 4: D' computed 1484, fixture 16",
+        "l11 case 4: D' computed 1484, not a positive square",
+        "l11: only 3 of 4 cases eliminated",
+    ]
+    assert report["survivors"][-1] == {"D": "1484", "D_prime": "1484", "case": 4, "sings": sings}
 
 
 CORRUPTED = {

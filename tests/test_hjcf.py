@@ -8,6 +8,8 @@ import pytest
 from qhpp.hjcf import (
     HjCf,
     _chain_shape,
+    _class_shapes,
+    _unit_pairs,
     cf_bump,
     cf_deleted_det,
     cf_evaluate,
@@ -332,3 +334,30 @@ def test_chain_shape_matches_the_chain():
             if gcd(q, q1) == 1:
                 cf = cf_from_pair(q, q1)
                 assert _chain_shape(q, q1) == (cf.trace, cf.l), (q, q1)
+
+
+def test_unit_pairs_match_a_gcd_walk():
+    # each class {q1, q1^-1 mod q} once, at its smaller end, in ascending q1
+    for q in range(2, 2001):
+        ref = []
+        for q1 in range(1, q):
+            if gcd(q, q1) == 1 and q1 <= pow(q1, -1, q):
+                ref.append((q1, pow(q1, -1, q)))
+        assert list(_unit_pairs(q)) == ref, q
+
+
+def test_class_shapes_match_one_euclid_pass_per_class():
+    # the dual rows take (trace, length) from Riemenschneider duality; orders
+    # divisible by 2, 3 or 5 included
+    for q in range(2, 2001):
+        ref = [(q1, ql, *_chain_shape(q, q1)) for q1, ql in _unit_pairs(q)]
+        assert sorted(_class_shapes(q)) == ref, q
+
+
+def test_self_dual_class_is_yielded_once():
+    # 5^2 = -1 mod 13: the dual of the chain [3,3,2] of 13/5 is the chain
+    # [2,3,3] of 13/8, its reverse, so the class (5, 8) is its own dual
+    assert cf_from_pair(13, 5).entries == (3, 3, 2)
+    assert cf_from_pair(13, 8).entries == (2, 3, 3)
+    rows = [row for row in _class_shapes(13) if 5 in row[:2]]
+    assert rows == [(5, 8, 8, 3)]

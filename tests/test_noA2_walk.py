@@ -1,10 +1,12 @@
-"""The integer unit-pair walk of the noA2 scan against two oracles.
+"""The integer class walk of the noA2 scan against two oracles.
 
 ``reference_scan`` is the scan's loop as it ran over the canonical chains of
-``enumerate_cfs_of_order``.  The walk visits each class as a unit
-q1 <= q1^-1 mod q and builds no chain, so the tests record what it visits
-and compare with the oracle.  The second oracle is the Dedekind sum
-``_dedekind12``, computed by reciprocity with no chain at all.
+``enumerate_cfs_of_order``.  The walk (``_class_shapes``) visits each class
+as a unit pair q1 <= q1^-1 mod q and builds no chain; about half its rows take
+their trace and length from the dual class.  The tests record every row it
+yields and compare with the oracle.  The second oracle is the Dedekind sum
+``_dedekind12``, computed by reciprocity with no chain at all, so it checks
+each duality-derived row independently.
 """
 
 from collections import Counter
@@ -15,7 +17,7 @@ import pytest
 
 import qhpp.enumeration as enumeration
 from qhpp.enumeration import noA2_scan
-from qhpp.hjcf import _chain_shape, _dedekind12, cf_from_pair, enumerate_cfs_of_order
+from qhpp.hjcf import _class_shapes, _dedekind12, cf_from_pair, enumerate_cfs_of_order
 
 
 def reference_scan(q_cap, shift=frozenset()):
@@ -51,16 +53,16 @@ def reference_scan(q_cap, shift=frozenset()):
 
 
 def walk(monkeypatch, q_cap, shift=frozenset()):
-    """Run noA2_scan, recording (q, q1 + ql, trace, length) per visited unit."""
+    """Run noA2_scan, recording (q, q1 + ql, trace, length) per visited class."""
     rows = []
 
-    def shape(q, q1):
-        tr, l = _chain_shape(q, q1)
-        tr += (q, cf_from_pair(q, q1).canonical().entries) in shift
-        rows.append((q, q1 + pow(q1, -1, q), tr, l))
-        return tr, l
+    def shapes(q):
+        for q1, ql, tr, l in _class_shapes(q):
+            tr += (q, cf_from_pair(q, q1).canonical().entries) in shift
+            rows.append((q, q1 + ql, tr, l))
+            yield q1, ql, tr, l
 
-    monkeypatch.setattr(enumeration, "_chain_shape", shape)
+    monkeypatch.setattr(enumeration, "_class_shapes", shapes)
     return rows, noA2_scan(q_cap)
 
 
@@ -125,27 +127,28 @@ def test_dedekind12_matches_the_definition_below_60():
 
 @pytest.fixture(scope="module")
 def walk_to_2000():
-    """Run the cap-2000 scan once, checking each visited unit pair against
-    _dedekind12: (classes visited, the scan's report, pairs where
-    q1 + ql + (trace - 3l)*q differs from S = 12*q*s(q1, q), pairs where S or
-    one of the three closed forms breaks the mod-3 witness)."""
+    """Run the cap-2000 scan once, checking each row of the class walk against
+    _dedekind12: (classes visited, the scan's report, pairs where ql is not
+    q1^-1 mod q or q1 + ql + (trace - 3l)*q differs from S = 12*q*s(q1, q),
+    pairs where S or one of the three closed forms breaks the mod-3
+    witness)."""
     visited = 0
     identity_failures, congruence_failures = [], []
 
-    def shape(q, q1):
+    def shapes(q):
         nonlocal visited
-        tr, l = _chain_shape(q, q1)
-        visited += 1
-        s = _dedekind12(q1, q)
-        if q1 + pow(q1, -1, q) + (tr - 3 * l) * q != s:
-            identity_failures.append((q, q1))
-        forms = (s + 2, 5 * s + 12 * q + 10, 5 * s + 24 * q + 10)
-        if s % 3 != 0 or tuple(x % 3 for x in forms) != (2, 1, 1):
-            congruence_failures.append((q, q1))
-        return tr, l
+        for q1, ql, tr, l in _class_shapes(q):
+            visited += 1
+            s = _dedekind12(q1, q)
+            if ql != pow(q1, -1, q) or q1 + ql + (tr - 3 * l) * q != s:
+                identity_failures.append((q, q1))
+            forms = (s + 2, 5 * s + 12 * q + 10, 5 * s + 24 * q + 10)
+            if s % 3 != 0 or tuple(x % 3 for x in forms) != (2, 1, 1):
+                congruence_failures.append((q, q1))
+            yield q1, ql, tr, l
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(enumeration, "_chain_shape", shape)
+        mp.setattr(enumeration, "_class_shapes", shapes)
         report = noA2_scan(2000)
     return visited, report, identity_failures, congruence_failures
 

@@ -3,13 +3,14 @@
     python3 tools/snapshot_outputs.py DIR [--root CHECKOUT]
 
 Runs ``qhpp verify --all``, ``qhpp enumerate --pipeline P --format F`` for
-every pipeline P and every format F, and a fixed set of single requests
-(``cf-info``, ``candidate``, ``gram``, ``dioph``, a usage error and
-``--help``), each in a fresh interpreter on the ``src/`` of CHECKOUT
-(default: the checkout holding this script), with the bundled reference
-tables and an 80-column terminal width.  ``api.txt`` lists the sorted
-``__all__`` of ``qhpp`` and of each of its modules.  Each file holds the
-command's stdout, then its stderr, then a line ``rc=N`` with its exit code.
+every pipeline P and every format F, the noA2 scan at the benchmark's cap of
+2000 as JSON, and a fixed set of single requests (``cf-info``,
+``candidate``, ``gram``, ``dioph``, a usage error and ``--help``), each in
+a fresh interpreter on the ``src/`` of CHECKOUT (default: the checkout
+holding this script), with the bundled reference tables and an 80-column
+terminal width.  ``api.txt`` lists the sorted ``__all__`` of ``qhpp`` and
+of each of its modules.  Each file holds the command's stdout, then its
+stderr, then a line ``rc=N`` with its exit code.
 A refactor keeps these bytes: snapshot the parent and the change into two
 directories and compare them with ``diff -r``.
 """
@@ -33,6 +34,9 @@ REQUESTS = {
     "dioph-quad.txt": [
         "dioph", "--coeffs", "1/3,1/5,1/33", "--target", "56/55",
         "--quad", "1/3,3/5,4/33", "--quad-bound", "111/110",
+    ],
+    "enumerate-noA2-cap2000-json.txt": [
+        "enumerate", "--pipeline", "noA2", "--cap", "2000", "--format", "json",
     ],
     "usage-error.txt": ["candidate"],
     "help.txt": ["--help"],
