@@ -194,7 +194,7 @@ def check_dp_closed_form(q_max: int = 200) -> CheckResult:
         if l <= 12:
             data = dp_data(cf)
             # q * coeff_j: the dense form is an integer over q^2
-            nums = [c.numerator * (q // c.denominator) for c in data.dp_coeffs]
+            nums = data.coeff_nums
             dense = 0
             for i in range(l):
                 for j in range(l):
@@ -202,7 +202,7 @@ def check_dp_closed_form(q_max: int = 200) -> CheckResult:
                         dense += nums[i] * nums[j] * (-n[i])
                     elif abs(i - j) == 1:
                         dense += nums[i] * nums[j]
-            if Fraction(dense, q * q) != data.dp_sq:
+            if dense != -data.dp_dot_k_num * q:
                 return CheckResult("dp_closed_form", False, f"dense form at {cf}")
     return CheckResult("dp_closed_form", True, f"{checked} chains, orders 2..{q_max}")
 
@@ -445,8 +445,8 @@ def check_coeff_tables() -> CheckResult:
     for name, table in tables.items():
         for sing_text, coeffs in zip(table["sings"], table["coeffs"]):
             sing = dp_data(parse_cf(sing_text))
-            want = [parse_rational(c) for c in coeffs]
-            if list(sing.dp_coeffs) != want:
+            got = [Fraction(n, sing.q) for n in sing.coeff_nums]
+            if got != [parse_rational(c) for c in coeffs]:
                 return CheckResult("coeff_tables", False, f"{name}: {sing_text}")
         for sing_text, quads in zip(table["sings"], table.get("quad", [])):
             cf = parse_cf(sing_text)

@@ -13,6 +13,7 @@ import functools
 import io
 import json
 import sys
+from fractions import Fraction
 
 from .checks import run_all_checks
 from .enumeration import PIPELINES, PipelineReport, _check_q_cap, run_pipeline
@@ -123,35 +124,35 @@ def _cmd_cf_info(args) -> int:
         else:
             print("cf: [] (order 1, no singularity)")
         return 0
-    info = dp_data(cf)
+    info, q = dp_data(cf), cf.q
+    # each value shown is a numerator over q: Dp.K, Dp^2 = -Dp.K, the square
+    # -ql/q of the discriminant-group generator, and the coefficients
+    nums = (info.dp_dot_k_num, -info.dp_dot_k_num, -cf.ql, *info.coeff_nums)
+    dot_k, dp_sq, ep_sq, *coeffs = (format_rational(Fraction(n, q)) for n in nums)
     if args.format == "json":
         print(
             _json_dump(
                 {
                     "entries": list(cf.entries),
-                    "q": cf.q,
+                    "q": q,
                     "q1": cf.q1,
                     "ql": cf.ql,
                     "u": list(cf.u_seq),
                     "v": list(cf.v_seq),
-                    "dp_coeffs": [format_rational(c) for c in info.dp_coeffs],
-                    "dp_dot_k": format_rational(info.dp_dot_k),
-                    "dp_sq": format_rational(info.dp_sq),
-                    "ep_sq": format_rational(info.ep_sq),
+                    "dp_coeffs": coeffs,
+                    "dp_dot_k": dot_k,
+                    "dp_sq": dp_sq,
+                    "ep_sq": ep_sq,
                 }
             )
         )
         return 0
     print(f"cf: {cf}")
-    print(f"q: {cf.q}  q1: {cf.q1}  ql: {cf.ql}")
+    print(f"q: {q}  q1: {cf.q1}  ql: {cf.ql}")
     print("u:", " ".join(str(x) for x in cf.u_seq))
     print("v:", " ".join(str(x) for x in cf.v_seq))
-    print("dp_coeffs:", " ".join(format_rational(c) for c in info.dp_coeffs))
-    print(
-        f"dp_dot_k: {format_rational(info.dp_dot_k)}  "
-        f"dp_sq: {format_rational(info.dp_sq)}  "
-        f"ep_sq: {format_rational(info.ep_sq)}"
-    )
+    print("dp_coeffs:", " ".join(coeffs))
+    print(f"dp_dot_k: {dot_k}  dp_sq: {dp_sq}  ep_sq: {ep_sq}")
     return 0
 
 

@@ -37,7 +37,7 @@ from .obstruction import (
     solve_dioph,
 )
 from .ratio import format_rational, is_positive_square, rational_sqrt
-from .surface import SurfaceCandidate, candidate_invariants, candidate_to_dict
+from .surface import SurfaceCandidate, candidate_invariants, candidate_to_dict, dp_data
 
 __all__ = [
     "OrderTupleFamily",
@@ -402,11 +402,8 @@ def noA2_scan(q_cap: int = 500) -> PipelineReport:
 # ---------------------------------------------------------------------------
 
 
-_P3_CASES: list[tuple[tuple[int, ...], Fraction]] = [
-    ((2, 2, 2, 2), Fraction(0)),
-    ((3, 2), Fraction(-2, 5)),
-    ((5,), Fraction(-9, 5)),
-]
+# the three chains of order 5 at the third singularity
+_P3_CASES = [(2, 2, 2, 2), (3, 2), (5,)]
 
 
 def _q20_trace_window(l: int, L: int, dp_sq_p3: Fraction) -> tuple[int, int]:
@@ -431,9 +428,11 @@ def lemma_q20_pipeline() -> PipelineReport:
     fixture = load_fixtures()["q20"]
     cases: list[list[HjCf]] = []
     tallies: list[int] = []
-    for p3, dp_sq in _P3_CASES:
+    for p3 in _P3_CASES:
         head = [HjCf([2]), HjCf([3]), HjCf(p3)]
         l3 = len(p3)
+        third = dp_data(head[2])
+        dp_sq = Fraction(-third.dp_dot_k_num, third.q)
         count = 0
         for l in range(1, 11 - 2 - l3 + 1):
             L = l + 2 + l3
@@ -504,6 +503,13 @@ def l11_rationality_checks() -> PipelineReport:
     report = PipelineReport("l11")
     rows_by_no = {row["no"]: row for row in q20["rows"]}
     eliminated = 0
+    # the rules that solve one problem per m: the problem builder, the result
+    # key of the solutions and the word of their mismatch (built per call, so
+    # that it holds the module's builders as they are at the time)
+    per_m = {
+        "no_linear_solution": (aggregated_problem, "agg_solutions", "solutions"),
+        "no_component_solution": (component_problem, "component_solutions", "component solutions"),
+    }
 
     for case in fixture:
         label = f"l11 case {case['case']}"
@@ -517,11 +523,14 @@ def l11_rationality_checks() -> PipelineReport:
         }
         _expect(report, label, "D", result["D"], case["D"])
         _expect(report, label, "D'", result["D_prime"], case["D_prime"])
+        # the m bound needs sqrt(D') and L > 9
+        unbounded = None
         if not is_positive_square(cand.d_prime):
-            # the m bound and the targets need sqrt(D')
-            report.mismatches.append(
-                f"{label}: D' computed {result['D_prime']}, not a positive square"
-            )
+            unbounded = f"D' computed {result['D_prime']}, not a positive square"
+        elif cand.L <= 9:
+            unbounded = f"L computed {cand.L}, the m bound needs L > 9"
+        if unbounded:
+            report.mismatches.append(f"{label}: {unbounded}")
             report.survivors.append(result)
             continue
         bound = m_upper_bound(cand.d_prime, cand.L)
@@ -541,25 +550,29 @@ def l11_rationality_checks() -> PipelineReport:
         result["targets"] = [format_rational(t) for t in targets]
         _expect(report, label, "targets", result["targets"], case.get("targets"))
 
-        if case["eliminated_by"] == "no_linear_solution":
+        rule = case["eliminated_by"]
+        if rule in per_m:
+            build, key, word = per_m[rule]
             sols = []
             for t in targets:
-                prob, _ = aggregated_problem(cand, t)
-                result.setdefault("agg_coeffs", [format_rational(c) for c in prob.coeffs])
+                prob, _ = build(cand, t)
+                if build is aggregated_problem:
+                    result.setdefault("agg_coeffs", [format_rational(c) for c in prob.coeffs])
                 sols.append([list(s) for s in solve_dioph(prob)])
-            result["agg_solutions"] = sols
-            _expect(report, label, "solutions", sols, case.get("agg_solutions"))
-            if all(not s for s in sols):
-                result["eliminated_by"] = "no_linear_solution"
+            result[key] = sols
+            _expect(report, label, word, sols, case.get(key))
+            if not any(sols):
+                result["eliminated_by"] = rule
                 eliminated += 1
-        elif case["eliminated_by"] == "quadratic_filter":
-            (target,) = targets
-            (m,) = m_values
+        elif rule == "quadratic_filter" and len(m_values) != 1:
+            report.mismatches.append(
+                f"{label}: the quadratic filter takes one m, computed {m_values}"
+            )
+        elif rule == "quadratic_filter":
+            (target,), (m,) = targets, m_values
             quad_bound = 1 + Fraction(m * m) / cand.d_prime * cand.ks2
             result["quad_bound"] = format_rational(quad_bound)
-            _expect(
-                report, label, "quad bound", result["quad_bound"], case.get("quad_bound")
-            )
+            _expect(report, label, "quad bound", result["quad_bound"], case.get("quad_bound"))
             agg, agg_labels = aggregated_problem(cand, target)
             result["agg_coeffs"] = [format_rational(c) for c in agg.coeffs]
             agg_sols = solve_dioph(agg)
@@ -570,9 +583,7 @@ def l11_rationality_checks() -> PipelineReport:
             )
             leftover = []
             for sol in agg_sols:
-                groups = {
-                    p: agg.coeffs[i] * sol[i] for i, p in enumerate(agg_labels)
-                }
+                groups = {p: agg.coeffs[i] * sol[i] for i, p in enumerate(agg_labels)}
                 probg, _ = component_problem(
                     cand, target, with_quad_bound=quad_bound, group_sums=groups
                 )
@@ -589,18 +600,8 @@ def l11_rationality_checks() -> PipelineReport:
             else:
                 result["eliminated_by"] = "quadratic_filter"
                 eliminated += 1
-        elif case["eliminated_by"] == "no_component_solution":
-            sols = []
-            for t in targets:
-                prob, _ = component_problem(cand, t)
-                sols.append([list(s) for s in solve_dioph(prob)])
-            result["component_solutions"] = sols
-            _expect(
-                report, label, "component solutions", sols, case.get("component_solutions")
-            )
-            if all(not s for s in sols):
-                result["eliminated_by"] = "no_component_solution"
-                eliminated += 1
+        else:
+            report.mismatches.append(f"{label}: no elimination rule named {rule!r}")
         report.survivors.append(result)
 
     report.stages = [("cases", len(fixture)), ("eliminated", eliminated)]

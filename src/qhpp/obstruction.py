@@ -265,27 +265,41 @@ class DiophProblem:
             raise ValueError("quad_bound given without quad_coeffs")
 
 
-# Search nodes solve_dioph may visit before it gives up.  The largest problem
-# the pipelines build has 410 leaves; a problem past this budget gets an
-# error, never a shortened solution list.
+# Search nodes solve_dioph may visit, and solutions it may keep after the
+# group and quadratic filters, before it gives up.  The largest problem the
+# pipelines build has 410 leaves, and none keeps more than 150 solutions; a
+# problem past either budget gets an error, never a shortened solution list.
 DFS_NODE_BUDGET = 2_000_000
+SOLUTION_BUDGET = 100_000
+
+
+def _over_lcm(values: list[Fraction]) -> list[int]:
+    """The numerators of the values over the lcm of their denominators."""
+    den = lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values]
 
 
 def solve_dioph(problem: DiophProblem) -> list[tuple[int, ...]]:
     """The complete, lexicographically sorted solution list.
 
-    Enumeration is a depth-first search over cleared-denominator integers;
-    an empty list is a normal outcome.  Raises ValueError when the search
-    would visit more than DFS_NODE_BUDGET nodes.
+    Enumeration is a depth-first search in integers: one lcm clears the
+    target, the coefficients and the group sums, another the quadratic
+    coefficients and their bound, and each leaf is filtered as it is found.
+    An empty list is a normal outcome.  Raises ValueError when the search
+    would visit more than DFS_NODE_BUDGET nodes or keep more than
+    SOLUTION_BUDGET solutions.
     """
-    n = len(problem.coeffs)
-    den = lcm(
-        problem.target.denominator, *(c.denominator for c in problem.coeffs)
+    n, constraints = len(problem.coeffs), problem.group_constraints
+    target, *ints = _over_lcm(
+        [problem.target, *problem.coeffs, *(exact for _, exact in constraints)]
     )
-    cleared = [int(c * den) for c in problem.coeffs]
-    target = problem.target * den
     if target < 0:
         return []
+    cleared = ints[:n]
+    groups = [(idx, exact) for (idx, _), exact in zip(constraints, ints[n:])]
+    quads = None
+    if problem.quad_coeffs is not None:
+        quad_bound, *quads = _over_lcm([problem.quad_bound, *problem.quad_coeffs])
     solutions: list[tuple[int, ...]] = []
     vec = [0] * n
     nodes = 0
@@ -298,32 +312,28 @@ def solve_dioph(problem: DiophProblem) -> list[tuple[int, ...]]:
                 f"Diophantine search exceeds its budget of {DFS_NODE_BUDGET:,} nodes"
             )
         if i == n - 1:
-            if remaining % cleared[i] == 0:
-                vec[i] = remaining // cleared[i]
-                solutions.append(tuple(vec))
+            if remaining % cleared[i]:
+                return
+            vec[i] = remaining // cleared[i]
+            if groups and any(
+                sum(cleared[k] * vec[k] for k in idx) != exact for idx, exact in groups
+            ):
+                return
+            if quads is not None and sum(b * x * x for b, x in zip(quads, vec)) > quad_bound:
+                return
+            if len(solutions) == SOLUTION_BUDGET:
+                raise ValueError(
+                    f"Diophantine problem has more than {SOLUTION_BUDGET:,} solutions"
+                )
+            solutions.append(tuple(vec))
             return
         step = cleared[i]
         for x in range(remaining // step + 1):
             vec[i] = x
             dfs(i + 1, remaining - x * step)
 
-    dfs(0, int(target))
-
-    def keep(sol: tuple[int, ...]) -> bool:
-        for idx, exact in problem.group_constraints:
-            got = sum((problem.coeffs[i] * sol[i] for i in idx), start=Fraction(0))
-            if got != exact:
-                return False
-        if problem.quad_coeffs is not None:
-            qsum = sum(
-                (qc * x * x for qc, x in zip(problem.quad_coeffs, sol)),
-                start=Fraction(0),
-            )
-            if qsum > problem.quad_bound:
-                return False
-        return True
-
-    return [s for s in solutions if keep(s)]
+    dfs(0, target)
+    return solutions
 
 
 # ---------------------------------------------------------------------------
@@ -350,14 +360,11 @@ def component_problem(
     groups: list[tuple[tuple[int, ...], Fraction]] = []
     for p, sing in enumerate(cand.sings):
         members = []
-        for j in range(1, sing.l + 1):
-            coeff = sing.dp_coeffs[j - 1]
-            if coeff > 0:
+        for j, num in enumerate(sing.coeff_nums, 1):
+            if num > 0:
                 members.append(len(coeffs))
-                coeffs.append(coeff)
-                quads.append(
-                    Fraction(sing.cf.v_seq[j] * sing.cf.u_seq[j], sing.q)
-                )
+                coeffs.append(Fraction(num, sing.q))
+                quads.append(Fraction(sing.cf.v_seq[j] * sing.cf.u_seq[j], sing.q))
                 labels.append((p, j))
         if group_sums is not None and p in group_sums:
             groups.append((tuple(members), group_sums[p]))
@@ -383,9 +390,7 @@ def aggregated_problem(
     coeffs: list[Fraction] = []
     labels: list[int] = []
     for p, sing in enumerate(cand.sings):
-        nums = [
-            (c * sing.q).numerator for c in sing.dp_coeffs if c > 0
-        ]
+        nums = [n for n in sing.coeff_nums if n > 0]
         if not nums:
             continue
         coeffs.append(Fraction(gcd(*nums), sing.q))

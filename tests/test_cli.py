@@ -138,11 +138,33 @@ def test_dioph_quad_bound_without_quad_is_input_error(capsys):
 
 
 def test_dioph_over_budget_is_input_error(capsys):
+    # over 4M leaves, few of them solutions: the node budget stops it
     code, out, err = run(
-        capsys, "dioph", "--coeffs", "1/300,1/300,1/300,1/300", "--target", "1"
+        capsys, "dioph", "--coeffs", "1/300,1/300,1/300,1/301", "--target", "1"
     )
     assert code == 2 and out == ""
     assert err == "error: Diophantine search exceeds its budget of 2,000,000 nodes\n"
+
+
+@pytest.mark.parametrize("den", [300, 200])
+def test_dioph_past_its_solution_budget_is_input_error(capsys, den):
+    # every leaf is a solution: C(den + 3, 3) of them, 4.6M and 1.37M
+    coeffs = ",".join([f"1/{den}"] * 4)
+    code, out, err = run(capsys, "dioph", "--coeffs", coeffs, "--target", "1")
+    assert code == 2 and out == ""
+    assert err == "error: Diophantine problem has more than 100,000 solutions\n"
+
+
+def test_dioph_solution_budget_counts_kept_solutions(capsys):
+    # the same 1.37M leaves as above, of which the quadratic filter keeps few
+    code, out, err = run(
+        capsys, "dioph", "--coeffs", "1/200,1/200,1/200,1/200", "--target", "1",
+        "--quad", "1,1,1,1", "--quad-bound", "10100",
+    )
+    assert (code, err) == (0, "")
+    sols = json.loads(out)
+    assert len(sols) == 2_123
+    assert all(sum(s) == 200 and sum(x * x for x in s) <= 10100 for s in sols)
 
 
 def test_gram_star(capsys):
@@ -422,6 +444,34 @@ def test_l11_case_with_a_non_square_d_prime_is_a_mismatch(capsys, tables):
         "l11: only 3 of 4 cases eliminated",
     ]
     assert report["survivors"][-1] == {"D": "1484", "D_prime": "1484", "case": 4, "sings": sings}
+
+
+@pytest.mark.parametrize(
+    ("path", "value", "mismatches"),
+    [
+        # q20 row 4 is l11 case 4; with L = 4 there is no m bound
+        (("q20", "rows", 3, "sings"), ["[2]", "[2]", "[3]", "[6]"], [
+            "l11 case 4: D computed 576, fixture 16",
+            "l11 case 4: D' computed 576, fixture 16",
+            "l11 case 4: L computed 4, the m bound needs L > 9",
+        ]),
+        # case 4 has m values [1, 2]
+        (("l11_cases", 3, "eliminated_by"), "quadratic_filter", [
+            "l11 case 4: the quadratic filter takes one m, computed [1, 2]",
+        ]),
+        (("l11_cases", 3, "eliminated_by"), "no_such_rule", [
+            "l11 case 4: no elimination rule named 'no_such_rule'",
+        ]),
+    ],
+)
+def test_l11_case_it_cannot_evaluate_is_a_mismatch(capsys, tables, path, value, mismatches):
+    write_edited_tables(tables, path, value)
+    code, out, err = run(capsys, "enumerate", "--pipeline", "l11", "--format", "json")
+    assert (code, err) == (1, "")
+    report = json.loads(out)
+    assert report["mismatches"] == [*mismatches, "l11: only 3 of 4 cases eliminated"]
+    assert report["stages"] == [["cases", 4], ["eliminated", 3]]
+    assert "eliminated_by" not in report["survivors"][-1]
 
 
 CORRUPTED = {

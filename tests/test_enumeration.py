@@ -5,6 +5,7 @@ from math import gcd
 
 import pytest
 
+from qhpp import enumeration
 from qhpp.enumeration import (
     enumerate_order_tuples,
     l11_rationality_checks,
@@ -180,6 +181,27 @@ def test_l11_rationality_checks():
     assert by_case[3]["surviving_realizations"] == 0
     assert by_case[4]["targets"] == ["647/645", "649/645"]
     assert by_case[4]["component_solutions"] == [[], []]
+
+
+def test_l11_calls_the_builders_through_the_module(monkeypatch):
+    # the benchmark's tracer and dioph census wrap the module's builders;
+    # the wrapped run must call them and report what the plain run does
+    want = l11_rationality_checks()
+    calls = []
+    for name in ("aggregated_problem", "component_problem"):
+        real = getattr(enumeration, name)
+
+        def wrapper(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(enumeration, name, wrapper)
+    got = l11_rationality_checks()
+    assert (got.survivors, got.mismatches, got.stages) == (
+        want.survivors, want.mismatches, want.stages,
+    )
+    assert calls.count("aggregated_problem") == 2
+    assert calls.count("component_problem") == 6
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """The integer paths of the kernel against the Fraction code they replaced.
 
 The reference functions below are the former bodies of the grid oracle
-`checks._brute_force_dioph`, of Dp.K in `surface.dp_data`, of
-`surface.candidate_invariants` and `bmy_status`, of
-`obstruction.degree_sum`, `esq_formula` and `esq_two_component`, of the
+`checks._brute_force_dioph`, of `obstruction.solve_dioph` (which filtered
+its solutions in `Fraction`s after the search), of Dp.K and the adjunction
+coefficients in `surface.dp_data`, of `surface.candidate_invariants` and
+`bmy_status`, of `obstruction.degree_sum`, `esq_formula` and
+`esq_two_component`, of the
 two bounds of `checks.check_prop_int_inequalities`, of the dense form in
 `checks.check_dp_closed_form`, of the unit and pair loop of
 `checks.check_uv_inequalities` and of the recurrences in `HjCf.__init__`.
@@ -12,9 +14,11 @@ through the general predicate `holds`, and for the chain sequences, by list
 indexing).
 """
 
+import random
 import types
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from types import SimpleNamespace
 
 import pytest
@@ -30,6 +34,7 @@ from qhpp.obstruction import (
     esq_formula,
     esq_two_component,
     local_discrepancy,
+    solve_dioph,
 )
 from qhpp.surface import BmyStatus, bmy_status, candidate_invariants, dp_data
 
@@ -60,10 +65,57 @@ def reference_brute_force_dioph(problem: DiophProblem) -> list[tuple[int, ...]]:
     return out
 
 
-def reference_dp_dot_k(cf: HjCf) -> Fraction:
-    coeffs = tuple(
+def reference_solve_dioph(problem: DiophProblem) -> list[tuple[int, ...]]:
+    """Enumerate in cleared integers, then filter every solution in Fractions
+    (the node budget left out)."""
+    n = len(problem.coeffs)
+    den = lcm(problem.target.denominator, *(c.denominator for c in problem.coeffs))
+    cleared = [int(c * den) for c in problem.coeffs]
+    target = problem.target * den
+    if target < 0:
+        return []
+    solutions: list[tuple[int, ...]] = []
+    vec = [0] * n
+
+    def dfs(i: int, remaining: int) -> None:
+        if i == n - 1:
+            if remaining % cleared[i] == 0:
+                vec[i] = remaining // cleared[i]
+                solutions.append(tuple(vec))
+            return
+        step = cleared[i]
+        for x in range(remaining // step + 1):
+            vec[i] = x
+            dfs(i + 1, remaining - x * step)
+
+    dfs(0, int(target))
+
+    def keep(sol: tuple[int, ...]) -> bool:
+        for idx, exact in problem.group_constraints:
+            got = sum((problem.coeffs[i] * sol[i] for i in idx), start=Fraction(0))
+            if got != exact:
+                return False
+        if problem.quad_coeffs is not None:
+            qsum = sum(
+                (qc * x * x for qc, x in zip(problem.quad_coeffs, sol)),
+                start=Fraction(0),
+            )
+            if qsum > problem.quad_bound:
+                return False
+        return True
+
+    return [s for s in solutions if keep(s)]
+
+
+def reference_coeffs(cf: HjCf) -> tuple[Fraction, ...]:
+    """The adjunction coefficients 1 - (v_j + u_j)/q of the chain."""
+    return tuple(
         1 - Fraction(cf.v_seq[j] + cf.u_seq[j], cf.q) for j in range(1, cf.l + 1)
     )
+
+
+def reference_dp_dot_k(cf: HjCf) -> Fraction:
+    coeffs = reference_coeffs(cf)
     return sum((c * (n - 2) for c, n in zip(coeffs, cf.entries)), start=Fraction(0))
 
 
@@ -74,7 +126,7 @@ def reference_candidate_invariants(cfs: list[HjCf], c: int = 1) -> tuple:
     det_r = 1
     for s in data:
         det_r *= s.q
-    ks2 = (9 - L) + sum((s.dp_dot_k for s in data), start=Fraction(0))
+    ks2 = (9 - L) + sum((reference_dp_dot_k(s.cf) for s in data), start=Fraction(0))
     e_orb = 3 - sum((1 - Fraction(1, s.q) for s in data), start=Fraction(0))
     return ks2, det_r * ks2, e_orb, Fraction(det_r * ks2, c * c), L, det_r
 
@@ -103,7 +155,7 @@ def reference_chain_sequences(entries: tuple[int, ...]) -> tuple[tuple, tuple]:
 def reference_degree_sum(curve: CurveClass) -> Fraction:
     total = Fraction(0)
     for sing, row in zip(curve.cand.sings, curve.incidence.rows):
-        for coeff, ea in zip(sing.dp_coeffs, row):
+        for coeff, ea in zip(reference_coeffs(sing.cf), row):
             if ea:
                 total += coeff * ea
     return total
@@ -162,7 +214,7 @@ def reference_diagonal_esq_bound(curve: CurveClass) -> Fraction:
 
 
 def reference_dense_dp_sq(cf: HjCf) -> Fraction:
-    coeffs, n, l = dp_data(cf).dp_coeffs, cf.entries, cf.l
+    coeffs, n, l = reference_coeffs(cf), cf.entries, cf.l
     dense = Fraction(0)
     for i in range(l):
         for j in range(l):
@@ -253,6 +305,71 @@ def test_integer_grid_oracle_on_edge_cases():
 
 
 # ---------------------------------------------------------------------------
+# the solver
+# ---------------------------------------------------------------------------
+
+
+def _seeded_problems(seed: int, count: int) -> list[DiophProblem]:
+    """Small problems with group sums (reachable ones, and ones over any
+    denominator up to 11) and quadratic filters (bound 0 among them)."""
+    rng = random.Random(seed)
+    problems = []
+    for _ in range(count):
+        n = rng.randint(1, 4)
+        coeffs = tuple(Fraction(rng.randint(1, 9), rng.randint(1, 6)) for _ in range(n))
+        # keep the grid oracle's box small: at most 25 values per variable
+        target = Fraction(rng.randint(0, 12), rng.randint(1, 4))
+        while any(target / c > 24 for c in coeffs):
+            target /= 2
+        groups = []
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            idx = tuple(sorted(rng.sample(range(n), rng.randint(1, n))))
+            if rng.random() < 0.6:
+                exact = sum((coeffs[i] * rng.randint(0, 3) for i in idx), start=Fraction(0))
+            else:
+                exact = Fraction(rng.randint(0, 12), rng.randint(1, 11))
+            groups.append((idx, exact))
+        quad = bound = None
+        if rng.random() < 0.5:
+            quad = tuple(Fraction(rng.randint(1, 5), rng.randint(1, 7)) for _ in range(n))
+            bound = rng.choice((Fraction(0), Fraction(rng.randint(0, 60), rng.randint(1, 5))))
+        problems.append(DiophProblem(coeffs, target, tuple(groups), quad, bound))
+    return problems
+
+
+def test_solver_matches_the_fraction_solver_and_the_grid_on_seeded_problems():
+    problems = _seeded_problems(1414, 2_000)
+    kept = filtered = 0
+    for prob in problems:
+        got = solve_dioph(prob)
+        assert got == reference_solve_dioph(prob) == sorted(checks._brute_force_dioph(prob)), prob
+        unfiltered = solve_dioph(DiophProblem(prob.coeffs, prob.target))
+        kept += bool(got) and (bool(prob.group_constraints) or prob.quad_coeffs is not None)
+        filtered += len(unfiltered) > len(got)
+    # the filters both keep and reject solutions across the corpus
+    assert kept > 100 and filtered > 500
+    assert sum(p.quad_bound == 0 for p in problems) > 400
+
+
+def test_solver_on_edge_cases():
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    cases = [
+        # a group sum over a denominator that no coefficient has
+        (DiophProblem((half, half), Fraction(1), (((0,), Fraction(3, 7)),)), []),
+        (DiophProblem((half, third), Fraction(3), (((1,), Fraction(2)),)), [(2, 6)]),
+        (DiophProblem((half, third), Fraction(3), (((0, 1), Fraction(3)), ((0,), Fraction(1, 3)))), []),
+        # a quadratic bound of 0 keeps only the zero vector
+        (DiophProblem((half, third), Fraction(0), quad_coeffs=(half, third), quad_bound=Fraction(0)), [(0, 0)]),
+        (DiophProblem((half, third), Fraction(3), quad_coeffs=(half, third), quad_bound=Fraction(0)), []),
+        (DiophProblem((half, third), Fraction(3), quad_coeffs=(half, third), quad_bound=Fraction(-1)), []),
+        (DiophProblem((half, third), Fraction(-1, 6)), []),
+    ]
+    for prob, want in cases:
+        assert solve_dioph(prob) == reference_solve_dioph(prob) == want, prob
+        assert sorted(checks._brute_force_dioph(prob)) == want, prob
+
+
+# ---------------------------------------------------------------------------
 # dp_data and the forms built on it
 # ---------------------------------------------------------------------------
 
@@ -267,18 +384,22 @@ def test_dp_data_is_a_plain_function_over_a_memo():
 def test_dp_data_matches_the_fraction_sums_on_every_chain():
     for cf in checks._all_cfs(200):
         data = dp_data(cf)
-        assert data.dp_dot_k == reference_dp_dot_k(cf) == -data.dp_sq, cf
-        assert data.dp_coeffs == tuple(
-            1 - Fraction(cf.v_seq[j] + cf.u_seq[j], cf.q) for j in range(1, cf.l + 1)
-        )
+        dot_k = Fraction(data.dp_dot_k_num, cf.q)
+        assert dot_k == reference_dp_dot_k(cf), cf
+        assert tuple(Fraction(n, cf.q) for n in data.coeff_nums) == reference_coeffs(cf)
         if cf.l <= 12:
-            assert reference_dense_dp_sq(cf) == data.dp_sq, cf
+            assert reference_dense_dp_sq(cf) == -dot_k, cf
 
 
 def test_dp_data_keeps_the_integer_numerator_of_dp_dot_k():
     for cf in checks._all_cfs(200):
         data = dp_data(cf)
-        assert data.dp_dot_k_num == data.dp_dot_k * cf.q, cf
+        assert data.dp_dot_k_num == reference_dp_dot_k(cf) * cf.q, cf
+        # integers only: no field of the record is a Fraction
+        assert [type(x) for x in (data.q, data.dp_dot_k_num, *data.coeff_nums)] == [int] * (
+            cf.l + 2
+        )
+        assert sorted(vars(data)) == ["cf", "coeff_nums", "dp_dot_k_num", "q"]
 
 
 def test_dense_form_check_catches_a_wrong_dp_sq(monkeypatch):
@@ -287,7 +408,8 @@ def test_dense_form_check_catches_a_wrong_dp_sq(monkeypatch):
     def off_by_a_bit(cf):
         data = real(cf)
         if cf.entries == (2, 3):
-            return data.__class__(**{**vars(data), "dp_sq": data.dp_sq + Fraction(1, 25)})
+            # Dp^2 = -dp_dot_k_num / q raised by 1/5
+            return data.__class__(**{**vars(data), "dp_dot_k_num": data.dp_dot_k_num - 1})
         return data
 
     monkeypatch.setattr(checks, "dp_data", off_by_a_bit)

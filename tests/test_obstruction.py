@@ -239,11 +239,26 @@ def test_solve_dioph_budget(monkeypatch):
         solve_dioph(three)
 
 
+def test_solve_dioph_solution_budget(monkeypatch):
+    c = (Fraction(1, 40), Fraction(1, 30), Fraction(1, 24))
+    # 133 leaves solve the equation, and the quadratic filter keeps 79: the
+    # budget counts kept solutions
+    prob = DiophProblem(c, Fraction(1), quad_coeffs=c, quad_bound=Fraction(16))
+    monkeypatch.setattr(obstruction, "SOLUTION_BUDGET", 79)
+    assert len(solve_dioph(prob)) == 79
+    monkeypatch.setattr(obstruction, "SOLUTION_BUDGET", 78)
+    with pytest.raises(ValueError, match="more than 78 solutions"):
+        solve_dioph(prob)
+
+
 def test_dioph_oracle_and_l11_fit_far_inside_the_budget(monkeypatch):
     assert obstruction.DFS_NODE_BUDGET == 2_000_000
+    assert obstruction.SOLUTION_BUDGET == 100_000
     want = l11_rationality_checks()
-    # 2,000 times below the budget, every search still completes unchanged
+    # 2,000 times below the node budget and over 600 times below the
+    # solution budget, every search still completes unchanged
     monkeypatch.setattr(obstruction, "DFS_NODE_BUDGET", 1_000)
+    monkeypatch.setattr(obstruction, "SOLUTION_BUDGET", 150)
     assert checks.check_dioph_oracle(n_random=1_000).ok
     got = l11_rationality_checks()
     assert (got.stages, got.details, got.mismatches) == (

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from qhpp.checks import _random_candidate
+from qhpp.cli import main
 from qhpp.hjcf import HjCf
 from qhpp.ratio import format_rational, is_positive_square, parse_rational, rational_sqrt
 from qhpp.surface import (
@@ -64,25 +65,24 @@ def test_rational_sqrt():
 
 
 def test_dp_data_examples():
+    # numerators over q: [7] has coefficient 5/7 and Dp.K = 25/7
     d7 = dp_data(HjCf([7]))
-    assert d7.dp_coeffs == (Fraction(5, 7),)
-    assert d7.dp_dot_k == Fraction(25, 7)
-    assert d7.dp_sq == -Fraction(25, 7)
+    assert (d7.q, d7.coeff_nums, d7.dp_dot_k_num) == (7, (5,), 25)
 
     for n in (2, 4, 6, 9):
         dn = dp_data(HjCf([2] * n))
-        assert all(c == 0 for c in dn.dp_coeffs)
-        assert dn.dp_dot_k == 0
+        assert all(c == 0 for c in dn.coeff_nums)
+        assert dn.dp_dot_k_num == 0
 
     d32 = dp_data(HjCf([3, 2]))
-    assert d32.dp_coeffs == (Fraction(2, 5), Fraction(1, 5))
+    assert (d32.q, d32.coeff_nums) == (5, (2, 1))
 
 
 def test_dp_data_l1_closed_form():
     for n in range(2, 12):
         d = dp_data(HjCf([n]))
-        assert d.dp_sq == -Fraction((n - 2) ** 2, n)
-        assert d.ep_sq == -Fraction(1, n)
+        # Dp^2 = -Dp.K = -(n - 2)^2 / n
+        assert Fraction(d.dp_dot_k_num, d.q) == Fraction((n - 2) ** 2, n)
 
 
 def test_dp_data_rejects_empty():
@@ -90,9 +90,13 @@ def test_dp_data_rejects_empty():
         dp_data(HjCf())
 
 
-def test_ep_sq():
-    assert dp_data(HjCf([3, 2])).ep_sq == -Fraction(3, 5)
-    assert dp_data(HjCf([3, 2, 2, 2, 2, 2, 2, 2, 2])).ep_sq == -Fraction(17, 19)
+def test_ep_sq(capsys):
+    # -ql/q, printed by cf-info
+    cases = {"[3,2]": "-3/5", "[3,2,2,2,2,2,2,2,2]": "-17/19"}
+    cases.update({f"[{n}]": f"-1/{n}" for n in range(2, 12)})
+    for chain, ep_sq in cases.items():
+        assert main(["cf-info", chain, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["ep_sq"] == ep_sq, chain
 
 
 def test_adjunction_identity_random():
@@ -100,8 +104,8 @@ def test_adjunction_identity_random():
     for _ in range(200):
         cf = HjCf([rng.randint(2, 6) for _ in range(rng.randint(1, 7))])
         d = dp_data(cf)
-        assert d.dp_dot_k == -d.dp_sq
-        assert all(0 <= c < 1 for c in d.dp_coeffs)
+        assert d.dp_dot_k_num == sum(c * (n - 2) for c, n in zip(d.coeff_nums, cf.entries))
+        assert all(0 <= c < d.q for c in d.coeff_nums)
 
 
 # ---------------------------------------------------------------------------

@@ -28,12 +28,17 @@ FORMATS = ("json", "csv", "text")
 REQUESTS = {
     "cf-info-text.txt": ["cf-info", "19/9"],
     "cf-info-json.txt": ["cf-info", "[3,2,2]", "--format", "json"],
+    "cf-info-long-json.txt": ["cf-info", "[3,2,2,2,2,2,2,2,2]", "--format", "json"],
     "candidate.txt": ["candidate", "--sings", "[2],[2,2],[7],[13]"],
     "gram-negative-diag.txt": ["gram", "--diag", "-1,-2,-3,-5", "--edges", "1-2,1-3,1-4"],
     "dioph.txt": ["dioph", "--coeffs", "1/3,1/5,1/33", "--target", "56/55"],
     "dioph-quad.txt": [
         "dioph", "--coeffs", "1/3,1/5,1/33", "--target", "56/55",
         "--quad", "1/3,3/5,4/33", "--quad-bound", "111/110",
+    ],
+    "dioph-quad-kept.txt": [
+        "dioph", "--coeffs", "1/40,1/30,1/24", "--target", "1",
+        "--quad", "1/40,1/30,1/24", "--quad-bound", "16",
     ],
     "enumerate-noA2-cap2000-json.txt": [
         "enumerate", "--pipeline", "noA2", "--cap", "2000", "--format", "json",
