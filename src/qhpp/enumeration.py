@@ -22,7 +22,8 @@ from math import gcd
 from .fixtures import load_fixtures
 from .hjcf import (
     HjCf,
-    _class_shapes,
+    _chain_shape,
+    _dual_pairs,
     cf_from_pair,
     enumerate_cfs_by_shape,
     enumerate_cfs_of_order,
@@ -289,7 +290,8 @@ def table1_pipeline() -> PipelineReport:
 # ---------------------------------------------------------------------------
 
 
-_NOA2_THIRDS = ("[2,2,2,2]", "[3,2]", "[5]")
+# the three chains of order 5, at the third singularity of (2, 3, 5, q)
+_ORDER5_CHAINS = (HjCf([2, 2, 2, 2]), HjCf([3, 2]), HjCf([5]))
 
 # The largest order cap the noA2 scan accepts.  The scan grows a little
 # faster than the square of its cap (about 0.03, 0.09, 0.39 and 17.5 s at
@@ -327,13 +329,12 @@ def noA2_scan(q_cap: int = 500) -> PipelineReport:
     re-checked.
 
     The forms need only q1, ql, the trace and the length of each chain, so
-    the scan walks integers instead of chains: each class up to reversal is
-    visited once, as the unit pair (q1, ql) that enumerate_cfs_of_order
-    expands, and ``_class_shapes`` derives the trace and length of the dual
-    class (q - ql, q - q1) from those of (q1, ql), so that one Euclid pass
-    serves two classes.  Only a chain that fails a check is built, to name
-    it in the report; failures keep the order of a scan over the canonical
-    chains of each q.
+    the scan walks integers instead of chains: ``_dual_pairs`` yields one
+    unit pair (q1, ql) per class and its dual (q - ql, q - q1), and one
+    Euclid pass gives S at q1.  The dual has S' = -S, as s(q - ql, q) =
+    -s(ql, q) = -s(q1, q), and a trace criterion -1 times this one mod 3.
+    Only a chain that fails a check is built, to name it in the report;
+    failures keep the order of a scan over the canonical chains of each q.
     """
     _check_q_cap(q_cap)
     report = PipelineReport("noA2")
@@ -346,33 +347,35 @@ def noA2_scan(q_cap: int = 500) -> PipelineReport:
             continue
         failed = []
         q12 = 12 * q
-        for q1, ql, tr, l in _class_shapes(q):
-            n_cfs += 1
+        for q1, ql in _dual_pairs(q):
+            tr, l = _chain_shape(q, q1)
             s = q1 + ql + (tr - 3 * l) * q
-            x_a4 = s + 2
-            x_52 = 5 * s + q12 + 10
-            x_51 = x_52 + q12
-            # three direct calls through the module name: a call from Python
-            # code to a Python function skips the C call path of map, and the
-            # tracer counts the square tests at that name
-            hit_a4 = is_positive_square(30 * x_a4)
-            hit_52 = is_positive_square(6 * x_52)
-            hit_51 = is_positive_square(6 * x_51)
             trace_bad = (q1 + ql + tr * q) % 3 != 0
-            form_bad = x_a4 % 3 == 0 or x_52 % 3 == 0 or x_51 % 3 == 0
-            if hit_a4 or hit_52 or hit_51 or trace_bad or form_bad:
-                failed.append((
-                    cf_from_pair(q, q1).canonical(),
-                    (30 * x_a4, 6 * x_52, 6 * x_51),
-                    (hit_a4, hit_52, hit_51),
-                    trace_bad,
-                    form_bad,
-                ))
+            for rep, s in ((q1, s),) if q - ql == q1 else ((q1, s), (q - ql, -s)):
+                n_cfs += 1
+                x_a4 = s + 2
+                x_52 = 5 * s + q12 + 10
+                x_51 = x_52 + q12
+                # three direct calls through the module name: a call from
+                # Python code to a Python function skips the C call path of
+                # map, and the tracer counts the square tests at that name
+                hit_a4 = is_positive_square(30 * x_a4)
+                hit_52 = is_positive_square(6 * x_52)
+                hit_51 = is_positive_square(6 * x_51)
+                form_bad = x_a4 % 3 == 0 or x_52 % 3 == 0 or x_51 % 3 == 0
+                if hit_a4 or hit_52 or hit_51 or trace_bad or form_bad:
+                    failed.append((
+                        cf_from_pair(q, rep).canonical(),
+                        (30 * x_a4, 6 * x_52, 6 * x_51),
+                        (hit_a4, hit_52, hit_51),
+                        trace_bad,
+                        form_bad,
+                    ))
         failed.sort(key=lambda f: f[0].entries)
         for cf, ds, hits, trace_bad, form_bad in failed:
             squares.extend(
                 f"q={q} cf={cf} third={name} D={d}"
-                for name, d, hit in zip(_NOA2_THIRDS, ds, hits)
+                for name, d, hit in zip(_ORDER5_CHAINS, ds, hits)
                 if hit
             )
             if trace_bad:
@@ -402,10 +405,6 @@ def noA2_scan(q_cap: int = 500) -> PipelineReport:
 # ---------------------------------------------------------------------------
 
 
-# the three chains of order 5 at the third singularity
-_P3_CASES = [(2, 2, 2, 2), (3, 2), (5,)]
-
-
 def _q20_trace_window(l: int, L: int, dp_sq_p3: Fraction) -> tuple[int, int]:
     """Integer trace range forced on the fourth chain by 0 < K^2 <= 1/10 + 3/q.
 
@@ -428,10 +427,10 @@ def lemma_q20_pipeline() -> PipelineReport:
     fixture = load_fixtures()["q20"]
     cases: list[list[HjCf]] = []
     tallies: list[int] = []
-    for p3 in _P3_CASES:
-        head = [HjCf([2]), HjCf([3]), HjCf(p3)]
-        l3 = len(p3)
-        third = dp_data(head[2])
+    for p3 in _ORDER5_CHAINS:
+        head = [HjCf([2]), HjCf([3]), p3]
+        l3 = p3.l
+        third = dp_data(p3)
         dp_sq = Fraction(-third.dp_dot_k_num, third.q)
         count = 0
         for l in range(1, 11 - 2 - l3 + 1):
@@ -464,14 +463,14 @@ def small_q_pipeline() -> PipelineReport:
     any chain of order 2..19 (orders may repeat); filter by square D, then
     BMY."""
     head = [HjCf([2]), HjCf([3])]
-    thirds = [HjCf([5]), HjCf([3, 2]), HjCf([2, 2, 2, 2])]
     cases: list[list[HjCf]] = []
     seen: set[tuple] = set()
     for q in range(2, 20):
         for cf in enumerate_cfs_of_order(q):
-            for t in thirds:
-                # orders may repeat, so the same surface can arise with the
-                # third and fourth slots swapped; dedupe on the chain multiset
+            # orders may repeat, so the same surface can arise with the
+            # third and fourth slots swapped; dedupe on the chain multiset,
+            # running from [5] down, which fixes the sings of the survivors
+            for t in reversed(_ORDER5_CHAINS):
                 key = _chains_key([t, cf])
                 if key in seen:
                     continue

@@ -13,6 +13,7 @@ from functools import lru_cache
 from importlib import resources
 
 from .hjcf import parse_cf
+from .ratio import parse_rational
 
 ENV_VAR = "QHPP_FIXTURES"
 
@@ -21,9 +22,11 @@ ENV_VAR = "QHPP_FIXTURES"
 # type (`object` takes any value, for cells that are only compared), a dict
 # of required keys (a key ending in "?" may be absent; "*" stands for every
 # key), a one-element list for an array of such elements, a tuple for an
-# array of exactly those elements, or _CHAIN for a string that parse_cf reads
-# as a nonempty chain.
-_CHAIN = "chain"
+# array of exactly those elements, or _CHAIN (_RATIONAL) for a string that
+# parse_cf reads as a nonempty chain (parse_rational reads); each is the
+# phrase its error gives.
+_CHAIN = "names no singularity"
+_RATIONAL = "is not a rational"
 _ROW = {"no": int, "sings": [_CHAIN], "ks2": object, "cmp": object, "three_e_orb": object}
 _SWEEP = {
     "ks2": object, "sqrt_D": object,
@@ -45,7 +48,7 @@ SCHEMA = {
         "case15": _SWEEP, "case23": _SWEEP, "case24": {"L": object, "required": object},
     },
     "gram": [{"name": object, "diag": [int], "edges": [(int, int)]}],
-    "coeff_tables": {"*": {"sings": [_CHAIN], "coeffs": [[str]], "quad?": [[str]]}},
+    "coeff_tables": {"*": {"sings": [_CHAIN], "coeffs": [[_RATIONAL]], "quad?": [[_RATIONAL]]}},
     "noA2_examples": [{"q": object, "cf": _CHAIN, "third": _CHAIN, "D": object}],
 }
 
@@ -58,7 +61,7 @@ _JSON_TYPES = {
 def _check_schema(data, where: str) -> None:
     """Raise ValueError naming the file and the dotted path of the first
     value, in the order of ``SCHEMA``, that is missing, has the wrong JSON
-    shape or is a chain string that gives no singularity."""
+    shape, or is a string that names no singularity or no rational."""
 
     def fail(path: str, want: str, value) -> None:
         raise ValueError(f"{where}: {path} must be {want}, got {_JSON_TYPES[type(value)]}")
@@ -88,13 +91,15 @@ def _check_schema(data, where: str) -> None:
                 fail(path, "a JSON array", value)
             for i, item in enumerate(value):
                 check(item, spec[0], f"{path}[{i}]")
-        elif spec is _CHAIN:
+        elif spec in (_CHAIN, _RATIONAL):
             check(value, str, path)
             try:
-                if not parse_cf(value).entries:
+                if spec is _RATIONAL:
+                    parse_rational(value)
+                elif not parse_cf(value).entries:
                     raise ValueError("the chain is empty")
             except ValueError as exc:
-                raise ValueError(f"{where}: {path} names no singularity: {exc}") from None
+                raise ValueError(f"{where}: {path} {spec}: {exc}") from None
         elif not isinstance(value, spec):
             fail(path, "a JSON integer" if spec is int else f"a JSON {_JSON_TYPES[spec]}", value)
 

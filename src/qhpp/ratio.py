@@ -14,11 +14,13 @@ __all__ = ["format_rational", "is_positive_square", "parse_rational", "rational_
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``"p/q"`` or a bare integer string into a Fraction."""
+    """Parse ``"p/q"`` or a bare integer string into a Fraction (ValueError if malformed)."""
     s = text.strip()
     if "/" in s:
-        num, den = s.split("/", 1)
-        return Fraction(int(num), int(den))
+        num, den = map(int, s.split("/", 1))
+        if den == 0:
+            raise ValueError(f"zero denominator in {text!r}")
+        return Fraction(num, den)
     return Fraction(int(s))
 
 

@@ -62,6 +62,18 @@ def test_cf_info_parse_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv", [("cf-info", "1000000/999999"), ("candidate", "--sings", "[2],[3],1000000/999999")]
+)
+def test_chain_past_its_length_limit_is_input_error(capsys, argv):
+    # a fraction (n + 1)/n names a chain of n entries 2
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: the chain of 1000000/999999 has 999,999 entries, more than the limit of 100,000\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # candidate
 # ---------------------------------------------------------------------------
@@ -165,6 +177,21 @@ def test_dioph_solution_budget_counts_kept_solutions(capsys):
     sols = json.loads(out)
     assert len(sols) == 2_123
     assert all(sum(s) == 200 and sum(x * x for x in s) <= 10100 for s in sols)
+
+
+@pytest.mark.parametrize(
+    ("flags", "text"),
+    [
+        (("--coeffs", "1/2,1/0", "--target", "1"), "1/0"),
+        (("--coeffs", "1/2", "--target", "3/0"), "3/0"),
+        (("--coeffs", "1/2", "--target", "1", "--quad", "5/0", "--quad-bound", "1"), "5/0"),
+        (("--coeffs", "1/2", "--target", "1", "--quad", "1", "--quad-bound", "-7/0"), "-7/0"),
+    ],
+)
+def test_dioph_zero_denominator_is_input_error(capsys, flags, text):
+    code, out, err = run(capsys, "dioph", *flags)
+    assert (code, out) == (2, "")
+    assert err == f"error: zero denominator in '{text}'\n"
 
 
 def test_gram_star(capsys):
@@ -273,7 +300,7 @@ def test_noA2_cap_out_of_range_is_input_error_before_any_output(
     def no_scan(q):
         raise AssertionError("the noA2 scan started")
 
-    monkeypatch.setattr(enumeration, "_class_shapes", no_scan)
+    monkeypatch.setattr(enumeration, "_dual_pairs", no_scan)
     code, out, err = run(capsys, *argv, "--cap", str(cap))
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
@@ -355,6 +382,13 @@ def test_fixture_table_of_the_wrong_shape_is_input_error(capsys, tables, table, 
         (("step6", "case24"), {}, "reference tables lack the key 'step6.case24.L'"),
         (("l11_cases", 0), {}, "reference tables lack the key 'l11_cases[0].case'"),
         (("step5", "sub_cases", 0), {}, "reference tables lack the key 'step5.sub_cases[0].p3'"),
+        (("coeff_tables", "l11_case1", "coeffs", 0, 0), "1/0",
+         "coeff_tables.l11_case1.coeffs[0][0] is not a rational: zero denominator in '1/0'"),
+        (("coeff_tables", "l11_case1", "coeffs", 0, 0), "x",
+         "coeff_tables.l11_case1.coeffs[0][0] is not a rational: "
+         "invalid literal for int() with base 10: 'x'"),
+        (("coeff_tables", "l11_case3", "quad", 1, 0), "2/0",
+         "coeff_tables.l11_case3.quad[1][0] is not a rational: zero denominator in '2/0'"),
     ],
 )
 def test_nested_fixture_value_of_the_wrong_shape_is_input_error(

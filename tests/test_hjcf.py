@@ -6,10 +6,10 @@ from math import ceil, gcd
 import pytest
 
 from qhpp.hjcf import (
+    CHAIN_LENGTH_LIMIT,
     HjCf,
     _chain_shape,
-    _class_shapes,
-    _unit_pairs,
+    _dual_pairs,
     cf_bump,
     cf_deleted_det,
     cf_evaluate,
@@ -226,8 +226,9 @@ def test_enumerate_order_examples():
 
 
 def test_enumerate_order_is_canonical_and_sorted():
-    # 12 and 24 have units other than +-1 that are their own inverses
-    for q in (7, 12, 15, 19, 24):
+    # every order up to 400, with units other than +-1 that are their own
+    # inverses (12, 24, ...) and self-dual classes (5, 10, 13, ...)
+    for q in range(2, 401):
         classes = enumerate_cfs_of_order(q)
         assert classes == sorted(
             {cf_from_pair(q, q1).canonical() for q1 in range(1, q) if gcd(q, q1) == 1}
@@ -336,22 +337,19 @@ def test_chain_shape_matches_the_chain():
                 assert _chain_shape(q, q1) == (cf.trace, cf.l), (q, q1)
 
 
-def test_unit_pairs_match_a_gcd_walk():
-    # each class {q1, q1^-1 mod q} once, at its smaller end, in ascending q1
+def test_dual_pairs_match_a_gcd_walk():
+    # each class {q1, q1^-1 mod q} once, either opening a pair or as the dual
+    # (q - ql, q - q1) of the class that opens it; orders divisible by 2, 3
+    # or 5 included
     for q in range(2, 2001):
-        ref = []
-        for q1 in range(1, q):
-            if gcd(q, q1) == 1 and q1 <= pow(q1, -1, q):
-                ref.append((q1, pow(q1, -1, q)))
-        assert list(_unit_pairs(q)) == ref, q
-
-
-def test_class_shapes_match_one_euclid_pass_per_class():
-    # the dual rows take (trace, length) from Riemenschneider duality; orders
-    # divisible by 2, 3 or 5 included
-    for q in range(2, 2001):
-        ref = [(q1, ql, *_chain_shape(q, q1)) for q1, ql in _unit_pairs(q)]
-        assert sorted(_class_shapes(q)) == ref, q
+        ref = {frozenset((q1, pow(q1, -1, q))) for q1 in range(1, q) if gcd(q, q1) == 1}
+        met = []
+        for q1, ql in _dual_pairs(q):
+            assert q1 * ql % q == 1, (q, q1)
+            met.append(frozenset((q1, ql)))
+            if q - ql != q1:
+                met.append(frozenset((q - ql, q - q1)))
+        assert len(met) == len(ref) and set(met) == ref, q
 
 
 def test_self_dual_class_is_yielded_once():
@@ -359,5 +357,12 @@ def test_self_dual_class_is_yielded_once():
     # [2,3,3] of 13/8, its reverse, so the class (5, 8) is its own dual
     assert cf_from_pair(13, 5).entries == (3, 3, 2)
     assert cf_from_pair(13, 8).entries == (2, 3, 3)
-    rows = [row for row in _class_shapes(13) if 5 in row[:2]]
-    assert rows == [(5, 8, 8, 3)]
+    rows = [pair for pair in _dual_pairs(13) if 5 in pair or 8 in pair]
+    assert rows == [(5, 8)]
+
+
+def test_cf_from_pair_bounds_the_chain_length():
+    # (n + 1)/n is the chain of n entries 2
+    assert cf_from_pair(100_001, 100_000).entries == (2,) * CHAIN_LENGTH_LIMIT
+    with pytest.raises(ValueError, match="^the chain of 100002/100001 has 100,001 entries,"):
+        cf_from_pair(100_002, 100_001)

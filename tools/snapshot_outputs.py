@@ -5,10 +5,10 @@
 Runs ``qhpp verify --all``, ``qhpp enumerate --pipeline P --format F`` for
 every pipeline P and every format F, the noA2 scan at the benchmark's cap of
 2000 as JSON, and a fixed set of single requests (``cf-info``,
-``candidate``, ``gram``, ``dioph``, a usage error and ``--help``), each in
-a fresh interpreter on the ``src/`` of CHECKOUT (default: the checkout
-holding this script), with the bundled reference tables and an 80-column
-terminal width.  ``api.txt`` lists the sorted ``__all__`` of ``qhpp`` and
+``candidate``, ``gram``, ``dioph``, a ``dioph`` input error, a usage error
+and ``--help``), each in a fresh interpreter on the ``src/`` of CHECKOUT
+(default: the checkout holding this script), with the bundled reference
+tables and an 80-column terminal width.  ``api.txt`` lists the sorted ``__all__`` of ``qhpp`` and
 of each of its modules.  Each file holds the command's stdout, then its
 stderr, then a line ``rc=N`` with its exit code.
 A refactor keeps these bytes: snapshot the parent and the change into two
@@ -40,6 +40,7 @@ REQUESTS = {
         "dioph", "--coeffs", "1/40,1/30,1/24", "--target", "1",
         "--quad", "1/40,1/30,1/24", "--quad-bound", "16",
     ],
+    "dioph-zero-denominator.txt": ["dioph", "--coeffs", "1/0", "--target", "1"],
     "enumerate-noA2-cap2000-json.txt": [
         "enumerate", "--pipeline", "noA2", "--cap", "2000", "--format", "json",
     ],
