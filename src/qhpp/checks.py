@@ -436,13 +436,21 @@ def check_coeff_tables() -> CheckResult:
     """Every bundled coefficient table (the adjunction rows 1 - (v_j+u_j)/q
     and the v_j u_j / q rows where present) is reproduced by the chain data;
     values compare as exact rationals, so a table cell like 24/33 matches the
-    reduced 8/11."""
+    reduced 8/11.  A table must give one row per chain: a short or long
+    ``coeffs``, or ``quad`` where present, fails."""
     from .fixtures import load_fixtures
     from .hjcf import parse_cf
     from .ratio import parse_rational
 
     tables = load_fixtures()["coeff_tables"]
     for name, table in tables.items():
+        for rows in ("coeffs", "quad"):
+            if rows in table and len(table[rows]) != len(table["sings"]):
+                return CheckResult(
+                    "coeff_tables",
+                    False,
+                    f"{name}: {len(table['sings'])} sings, {len(table[rows])} {rows} rows",
+                )
         for sing_text, coeffs in zip(table["sings"], table["coeffs"]):
             sing = dp_data(parse_cf(sing_text))
             got = [Fraction(n, sing.q) for n in sing.coeff_nums]

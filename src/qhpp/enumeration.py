@@ -217,10 +217,17 @@ def enumerate_order_tuples() -> list[OrderTupleFamily]:
     """Derive every family of pairwise-coprime order 4-tuples with e_orb >= 0.
 
     Exhausts triples a < b < c and closes each off with the admissible range
-    of fourth orders d (e_orb >= 0 forces 1/d >= 1 - 1/a - 1/b - 1/c).  The
-    search bounds are generous: four distinct reciprocals from 5 upwards sum
-    below 1, so a <= 4, and any valid triple needs 1/a + 1/b + 2/c >= 1,
-    putting c well under 60.
+    of fourth orders d: e_orb >= 0 reads 1/d >= 1 - 1/a - 1/b - 1/c.  The
+    test is in integers.  With m = abc and gap = m - ab - bc - ca, the right
+    side is gap/m, so any d is admissible when gap <= 0, and otherwise
+    d <= d_max = m // gap.  The search bounds are generous: four distinct
+    reciprocals from 5 upwards sum below 1, so a <= 4, and any valid triple
+    needs 1/a + 1/b + 2/c >= 1, putting c well under 60.
+
+    The c loop stops at the first coprime c with d_max <= c, which admits no
+    d > c.  The stop is sound because gap/m = 1 - 1/a - 1/b - 1/c grows with
+    c: it stays positive and d_max cannot grow, so no larger c admits a d
+    above it either.
     """
     families: list[OrderTupleFamily] = []
     for a in range(2, 5):
@@ -230,9 +237,9 @@ def enumerate_order_tuples() -> list[OrderTupleFamily]:
             for c in range(b + 1, 61):
                 if gcd(c, a) != 1 or gcd(c, b) != 1:
                     continue
-                s = Fraction(1, a) + Fraction(1, b) + Fraction(1, c)
                 modulus = a * b * c
-                if s >= 1:
+                gap = modulus - a * b - b * c - c * a
+                if gap <= 0:
                     free_min = next(
                         q for q in range(c + 1, 10 * modulus) if gcd(q, modulus) == 1
                     )
@@ -242,7 +249,9 @@ def enumerate_order_tuples() -> list[OrderTupleFamily]:
                         )
                     )
                     continue
-                d_max = math.floor(1 / (1 - s))
+                d_max = modulus // gap
+                if d_max <= c:
+                    break
                 ds = [
                     q for q in range(c + 1, d_max + 1) if gcd(q, modulus) == 1
                 ]

@@ -29,8 +29,9 @@ __all__ = [
     "parse_cf",
 ]
 
-# The longest chain cf_from_pair expands: (n + 1)/n has n entries, and
-# cf-info takes about 0.6 s and 42 MB at 100,000 of them.
+# The longest chain parse_cf accepts, in bracket form or as a fraction that
+# cf_from_pair expands: (n + 1)/n has n entries, and cf-info takes about
+# 0.6 s and 42 MB at 100,000 of them.
 CHAIN_LENGTH_LIMIT = 100_000
 
 
@@ -355,7 +356,9 @@ def parse_cf(text: str) -> HjCf:
     """Parse a chain from text.
 
     Accepts the bracket form ``[3,2,2]``, a fraction ``19/9`` (expanded via
-    cf_from_pair) or a bare integer ``7`` (meaning 7/1).
+    cf_from_pair) or a bare integer ``7`` (meaning 7/1).  Either chain form
+    has at most CHAIN_LENGTH_LIMIT entries; a longer bracket body is refused
+    before any entry is converted.
     """
     s = text.strip()
     if s.startswith("["):
@@ -364,7 +367,12 @@ def parse_cf(text: str) -> HjCf:
         body = s[1:-1].strip()
         if not body:
             return HjCf()
-        return HjCf(int(tok) for tok in body.split(","))
+        tokens = body.split(",", CHAIN_LENGTH_LIMIT)
+        if len(tokens) > CHAIN_LENGTH_LIMIT:
+            raise ValueError(
+                f"a bracket chain has more than the limit of {CHAIN_LENGTH_LIMIT:,} entries"
+            )
+        return HjCf(map(int, tokens))
     if "/" in s:
         num, den = s.split("/", 1)
         return cf_from_pair(int(num), int(den))

@@ -74,6 +74,14 @@ def test_chain_past_its_length_limit_is_input_error(capsys, argv):
     )
 
 
+def test_bracket_chain_past_its_length_limit_is_input_error(capsys):
+    code, out, _ = run(capsys, "cf-info", "[" + ",".join(["2"] * 100_000) + "]")
+    assert code == 0 and out.startswith("cf: [2,2,")
+    code, out, err = run(capsys, "cf-info", "[" + ",".join(["2"] * 100_001) + "]")
+    assert (code, out) == (2, "")
+    assert err == "error: a bracket chain has more than the limit of 100,000 entries\n"
+
+
 # ---------------------------------------------------------------------------
 # candidate
 # ---------------------------------------------------------------------------
@@ -398,6 +406,17 @@ def test_nested_fixture_value_of_the_wrong_shape_is_input_error(
     code, out, err = run(capsys, "verify", "--all")
     assert code == 2 and out == ""
     assert err == f"error: {tables}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    ("table", "rows", "keep"), [("l11_case1", "coeffs", 0), ("l11_case3", "quad", 1)]
+)
+def test_coefficient_table_short_of_rows_fails(capsys, tables, table, rows, keep):
+    cut = fx._load(None)["coeff_tables"][table][rows][:keep]
+    write_edited_tables(tables, ("coeff_tables", table, rows), cut)
+    code, out, _ = run(capsys, "verify", "--all")
+    assert code == 1
+    assert f"FAIL     property coeff_tables: {table}: 4 sings, {keep} {rows} rows\n" in out
 
 
 @pytest.mark.parametrize(

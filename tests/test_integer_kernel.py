@@ -8,17 +8,18 @@ coefficients in `surface.dp_data`, of `surface.candidate_invariants` and
 `esq_two_component`, of the
 two bounds of `checks.check_prop_int_inequalities`, of the dense form in
 `checks.check_dp_closed_form`, of the unit and pair loop of
-`checks.check_uv_inequalities` and of the recurrences in `HjCf.__init__`.
-Each works term by term in `Fraction` arithmetic (or, for the uv loop,
-through the general predicate `holds`, and for the chain sequences, by list
-indexing).
+`checks.check_uv_inequalities`, of the recurrences in `HjCf.__init__` and of
+`enumeration.enumerate_order_tuples` (over the full a/b/c box).  Each works
+term by term in `Fraction` arithmetic (or, for the uv loop, through the
+general predicate `holds`, and for the chain sequences, by list indexing).
 """
 
+import math
 import random
 import types
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 from types import SimpleNamespace
 
 import pytest
@@ -238,6 +239,39 @@ def reference_uv_failures(cf) -> list[str]:
     return bad
 
 
+def reference_enumerate_order_tuples() -> list[enumeration.OrderTupleFamily]:
+    """The order-tuple families from Fraction sums over the full a/b/c box."""
+    families = []
+    for a in range(2, 5):
+        for b in range(a + 1, 31):
+            if gcd(a, b) != 1:
+                continue
+            for c in range(b + 1, 61):
+                if gcd(c, a) != 1 or gcd(c, b) != 1:
+                    continue
+                s = Fraction(1, a) + Fraction(1, b) + Fraction(1, c)
+                modulus = a * b * c
+                if s >= 1:
+                    free_min = next(
+                        q for q in range(c + 1, 10 * modulus) if gcd(q, modulus) == 1
+                    )
+                    families.append(
+                        enumeration.OrderTupleFamily((a, b, c), free_min, None, modulus)
+                    )
+                    continue
+                d_max = math.floor(1 / (1 - s))
+                ds = [q for q in range(c + 1, d_max + 1) if gcd(q, modulus) == 1]
+                if not ds:
+                    continue
+                if len(ds) == 1:
+                    families.append(enumeration.OrderTupleFamily((a, b, c, ds[0])))
+                else:
+                    families.append(
+                        enumeration.OrderTupleFamily((a, b, c), ds[0], ds[-1], modulus)
+                    )
+    return families
+
+
 # ---------------------------------------------------------------------------
 # corpora
 # ---------------------------------------------------------------------------
@@ -379,6 +413,9 @@ def test_dp_data_is_a_plain_function_over_a_memo():
     assert isinstance(qhpp.surface.dp_data, types.FunctionType)
     cf = HjCf([3, 2, 4])
     assert dp_data(cf) == dp_data(HjCf(cf.entries)) == dp_data("[3,2,4]")
+    # keyed on the entry tuple, which a miss turns back into the chain
+    assert dp_data(cf).cf == cf
+    assert qhpp.surface._dp_data.cache_parameters()["maxsize"] == 512
 
 
 def test_dp_data_matches_the_fraction_sums_on_every_chain():
@@ -586,3 +623,14 @@ def test_chain_entry_below_two_keeps_its_error_text(entries, shown):
     with pytest.raises(ValueError) as err:
         HjCf(entries)
     assert str(err.value) == f"chain entries must all be >= 2, got {shown}"
+
+
+# ---------------------------------------------------------------------------
+# order-tuple families
+# ---------------------------------------------------------------------------
+
+
+def test_order_tuple_families_match_the_fraction_loop():
+    families = enumeration.enumerate_order_tuples()
+    assert families == reference_enumerate_order_tuples()
+    assert [f.fixed_orders for f in families] == [(2, 3, 5), (2, 3, 7), (2, 3, 11, 13)]

@@ -180,6 +180,9 @@ def test_m_upper_bound_examples():
         m_upper_bound(36, 9)
     with pytest.raises(ValueError):
         m_upper_bound(Fraction(2), 11)
+    with pytest.raises(ValueError) as err:
+        m_upper_bound(0, 10)
+    assert str(err.value) == "D' must be positive"
 
 
 CASE15 = ["[2]", "[3]", "[3,2,2]", "[3,2,2,2,2]"]

@@ -156,8 +156,11 @@ def test_candidate_rejects_bad_c():
     with pytest.raises(ValueError):
         candidate_invariants(["[2]", "[3]", "[5]", "[7]"], c=5)  # 25 ∤ 210
     with pytest.raises(ValueError):
-        # coprime orders force c = 1
-        candidate_invariants(["[2]", "[3]", "[5]", "[2,2,2,2,2,2]"], c=2)
+        candidate_invariants(["[2]", "[3]", "[5]", "[2,2,2,2,2,2]"], c=2)  # 4 ∤ 210
+    # c^2 = 4 divides det R = 36, so only the coprime guard rejects this
+    with pytest.raises(ValueError) as err:
+        candidate_invariants(["[4]", "[9]"], c=2)
+    assert str(err.value) == "c=2 rejected: pairwise coprime orders (4, 9) force c=1"
 
 
 def test_candidate_rejects_empty_chain():
