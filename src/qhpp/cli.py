@@ -13,14 +13,13 @@ import functools
 import io
 import json
 import sys
-from fractions import Fraction
 
 from .checks import run_all_checks
 from .enumeration import PIPELINES, PipelineReport, _check_q_cap, run_pipeline
 from .fixtures import ENV_VAR, load_fixtures
 from .hjcf import parse_cf
 from .obstruction import DiophProblem, solve_dioph
-from .ratio import format_rational, parse_rational
+from .ratio import _format_over, parse_rational
 from .surface import (
     GramConfig,
     candidate_invariants,
@@ -128,7 +127,7 @@ def _cmd_cf_info(args) -> int:
     # each value shown is a numerator over q: Dp.K, Dp^2 = -Dp.K, the square
     # -ql/q of the discriminant-group generator, and the coefficients
     nums = (info.dp_dot_k_num, -info.dp_dot_k_num, -cf.ql, *info.coeff_nums)
-    dot_k, dp_sq, ep_sq, *coeffs = (format_rational(Fraction(n, q)) for n in nums)
+    dot_k, dp_sq, ep_sq, *coeffs = (_format_over(n, q) for n in nums)
     if args.format == "json":
         print(
             _json_dump(
@@ -223,20 +222,41 @@ def _cmd_dioph(args) -> int:
     return 0
 
 
+def _edge(tok: str) -> tuple[int, int, int]:
+    """The 0-based ends and the weight of an ``i-j`` or ``i-j:w`` token."""
+    pair, _, weight = tok.partition(":")
+    i, j = pair.split("-")
+    return int(i) - 1, int(j) - 1, int(weight) if weight else 1
+
+
+def _tokens(text: str, flag: str, form: str, parse) -> list:
+    """Parse each comma-separated token of a flag's value, naming the first
+    malformed one in the ValueError."""
+    out = []
+    for tok in text.split(","):
+        try:
+            out.append(parse(tok))
+        except ValueError:
+            raise ValueError(f"bad {flag} token {tok!r}: expected {form}") from None
+    return out
+
+
 def _cmd_gram(args) -> int:
-    diag = tuple(int(tok) for tok in args.diag.split(","))
+    diag = tuple(_tokens(args.diag, "--diag", "an integer", int))
     off: dict[tuple[int, int], int] = {}
     if args.edges:
-        for tok in args.edges.split(","):
-            pair, _, weight = tok.partition(":")
-            i, j = pair.split("-")
-            a, b = int(i) - 1, int(j) - 1
-            off[(min(a, b), max(a, b))] = int(weight) if weight else 1
+        for a, b, w in _tokens(args.edges, "--edges", "i-j or i-j:w in integers", _edge):
+            off[(min(a, b), max(a, b))] = w
     print(gram_determinant(GramConfig(diag, off)))
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
+
+
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and the map from each command to its own parser."""
     parser = argparse.ArgumentParser(
         prog="qhpp",
         description=(
@@ -285,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="1-based intersecting pairs, e.g. 1-2,1-3,1-4 (optional :weight)",
     )
     p.set_defaults(fn=_cmd_gram)
-    return parser
+    return parser, sub.choices
 
 
 _VALUE_FLAGS = {"--diag", "--edges", "--coeffs", "--target", "--quad", "--quad-bound"}
@@ -310,17 +330,26 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of ``main``, built on its first call and then reused: a
-    parse keeps no state in the parser, and usage, help and error text look
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parsers of ``main``, built on its first call and then reused: a
+    parse keeps no state in a parser, and usage, help and error text look
     up the output streams and the terminal width when they print."""
-    return build_parser()
+    return _build_parsers()
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
+    argv = _merge_negative_values(list(sys.argv[1:]) if argv is None else list(argv))
+    parser, commands = _parsers()
     try:
-        args = _parser().parse_args(_merge_negative_values(argv))
+        # A request is parsed once, by its command's own parser.  The
+        # top-level parser answers what only it can: no command or an
+        # unknown one, top-level help, and arguments the command's parser
+        # left over, whose error and usage line are the top-level parser's.
+        args, extra = None, None
+        if argv and argv[0] in commands:
+            args, extra = commands[argv[0]].parse_known_args(argv[1:])
+        if args is None or extra:
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:

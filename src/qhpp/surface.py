@@ -32,7 +32,7 @@ from functools import cached_property, lru_cache
 from math import gcd
 
 from .hjcf import HjCf, parse_cf
-from .ratio import format_rational, is_positive_square
+from .ratio import _format_over, format_rational, is_positive_square
 
 __all__ = [
     "CyclicSing",
@@ -216,16 +216,17 @@ def bmy_status(cand: SurfaceCandidate) -> BmyStatus:
 
 
 def candidate_to_dict(cand: SurfaceCandidate) -> dict:
-    """JSON-ready summary; rationals as ``p/q`` strings in lowest terms."""
+    """JSON-ready summary; rationals as ``p/q`` strings in lowest terms,
+    K^2 and 3 e_orb reduced from the integers D and 3E over det R."""
     return {
         "sings": [str(s.cf) for s in cand.sings],
         "orders": list(cand.orders),
         "L": cand.L,
-        "ks2": format_rational(cand.ks2),
+        "ks2": _format_over(cand.D, cand.det_r),
         "detR": cand.det_r,
         "D": format_rational(cand.D),
         "D_square": is_positive_square(cand.D),
-        "three_e_orb": format_rational(Fraction(3 * cand.E, cand.det_r)),
+        "three_e_orb": _format_over(3 * cand.E, cand.det_r),
         "bmy": bmy_status(cand).value,
     }
 

@@ -13,7 +13,7 @@ import pytest
 import qhpp
 import qhpp.fixtures as fx
 from qhpp import enumeration, surface
-from qhpp.cli import main
+from qhpp.cli import _merge_negative_values, build_parser, main
 
 # ---------------------------------------------------------------------------
 # helpers
@@ -226,6 +226,26 @@ def test_gram_past_its_size_limit_is_input_error(capsys):
     code, out, err = run(capsys, "gram", "--diag", diag + ",-2", "--edges", edges)
     assert (code, out) == (2, "")
     assert err == f"error: a Gram configuration has at most {limit} vertices, got {limit + 1}\n"
+
+
+@pytest.mark.parametrize(
+    ("flags", "message"),
+    [
+        (("--diag", "-1,-2", "--edges", "1-2-3"),
+         "bad --edges token '1-2-3': expected i-j or i-j:w in integers"),
+        (("--diag", "-1,-2", "--edges", "1-2,2"),
+         "bad --edges token '2': expected i-j or i-j:w in integers"),
+        (("--diag", "-1,-2", "--edges", "1-x"),
+         "bad --edges token '1-x': expected i-j or i-j:w in integers"),
+        (("--diag", "-1,-2", "--edges", "1-2:y"),
+         "bad --edges token '1-2:y': expected i-j or i-j:w in integers"),
+        (("--diag", ""), "bad --diag token '': expected an integer"),
+        (("--diag", "-1,,-2"), "bad --diag token '': expected an integer"),
+        (("--diag", "-1,a"), "bad --diag token 'a': expected an integer"),
+    ],
+)
+def test_gram_names_a_malformed_token(capsys, flags, message):
+    assert run(capsys, "gram", *flags) == (2, "", f"error: {message}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +615,9 @@ def test_verify_has_no_threads_flag(capsys):
 # ---------------------------------------------------------------------------
 
 # every subcommand, text, JSON and CSV output, a mismatch, the negative-value
-# merge, usage errors, help text and a ValueError from a command
+# merge, usage errors, help text, ValueErrors from a command, and the cases
+# the top-level parser answers: no command, an unknown one, top-level help
+# and a leftover argument
 REQUESTS = [
     ["cf-info", "19/9"],
     ["cf-info", "[3,2]", "--format", "json"],
@@ -615,6 +637,13 @@ REQUESTS = [
     ["cf-info", "[1]"],
     ["enumerate", "--pipeline", "table1", "--cap", "7"],
     [],
+    ["cf-info", "19/9", "extra"],
+    ["cf-info", "19/9", "--form", "json"],
+    ["cf-info", "19/9", "--format=json"],
+    ["cf-info", "--", "19/9"],
+    ["-h", "cf-info"],
+    ["nope"],
+    ["gram", "--diag", "-1,-2", "--edges", "1-2-3"],
 ]
 
 
@@ -639,3 +668,30 @@ def test_reused_parser_answers_as_a_fresh_interpreter(monkeypatch):
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(REQUESTS[i])
             assert (code, out.getvalue(), err.getvalue()) == fresh[i], REQUESTS[i]
+
+
+def reference_main(argv: list[str]) -> int:
+    """``main`` as it parsed before: the top-level parser and, inside its
+    parse, the command's own."""
+    try:
+        args = build_parser().parse_args(_merge_negative_values(list(argv)))
+    except SystemExit as exc:
+        return 2 if exc.code else 0
+    try:
+        return args.fn(args)
+    except (ValueError, KeyError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def test_one_parse_per_request_answers_as_the_two_level_parse(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv(fx.ENV_VAR, raising=False)
+    for argv in REQUESTS:
+        answers = []
+        for fn in (main, reference_main):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = fn(list(argv))
+            answers.append((code, out.getvalue(), err.getvalue()))
+        assert answers[0] == answers[1], argv

@@ -18,6 +18,7 @@ from qhpp.enumeration import (
     table1_pipeline,
 )
 from qhpp.fixtures import load_fixtures
+from qhpp.hjcf import parse_cf
 from qhpp.surface import candidate_invariants
 
 # ---------------------------------------------------------------------------
@@ -161,6 +162,23 @@ def test_small_q_extra_survivors_all_violate_bmy():
     assert len(extra) == 7
     assert all(s["cmp"] == ">" for s in extra)
     assert all(s["D_square"] for s in extra)
+
+
+@pytest.mark.parametrize(
+    ("sings", "ks2", "det_r"),
+    [(["[2,2]", "[2,2]", "[2,2]"], "3", 27), (["[2,2,2,4]"], "81/13", 13)],
+)
+def test_scan_counts_a_candidate_on_the_bmy_bound(sings, ks2, det_r):
+    # K^2 = 3 e_orb exactly: D = 81 = 3E, a square on the boundary of BMY
+    cand = candidate_invariants(sings)
+    assert (cand.D, 3 * cand.E, cand.det_r) == (81, 81, det_r)
+    row = {"no": 1, "sings": sings, "ks2": ks2, "cmp": "<", "three_e_orb": ks2}
+    fixture = {"stage_counts": {"BMY": 1}, "rows": [row], "bmy_rows": [1]}
+    cfs = [parse_cf(s) for s in sings]
+    report = enumeration._scan("edge", fixture, [cfs], "cases", bmy=True)
+    assert report.stages == [("cases", 1), ("D_square", 1), ("BMY", 1)]
+    assert [(s["cmp"], s["D"], s["three_e_orb"]) for s in report.survivors] == [("<", "81", ks2)]
+    assert report.mismatches == []
 
 
 # ---------------------------------------------------------------------------

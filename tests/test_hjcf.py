@@ -1,10 +1,12 @@
 """Chain arithmetic tests, cross-checked against independent oracles."""
 
+import types
 from fractions import Fraction
 from math import ceil, gcd
 
 import pytest
 
+from qhpp import hjcf
 from qhpp.hjcf import (
     CHAIN_LENGTH_LIMIT,
     HjCf,
@@ -285,6 +287,21 @@ def test_parse_cf_forms():
     assert parse_cf("[]") == HjCf()
     with pytest.raises(ValueError):
         parse_cf("[3,2")
+
+
+def test_parse_cf_is_a_plain_function_over_a_bounded_memo():
+    # the tracer wraps plain public functions only
+    assert isinstance(hjcf.parse_cf, types.FunctionType)
+    assert hjcf._parse_cf.cache_parameters()["maxsize"] == 256
+    hjcf._parse_cf.cache_clear()
+    first = parse_cf("[3,2,2]")
+    assert parse_cf("[3,2,2]") is first and parse_cf(" [3,2,2] ") == first
+    assert parse_cf("19/9") == HjCf([3, 2, 2, 2, 2, 2, 2, 2, 2])
+    # an error is raised again on every call, not remembered
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            parse_cf("[3,1]")
+    assert hjcf._parse_cf.cache_info().currsize == 3
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,15 @@ coefficients in `surface.dp_data`, of `surface.candidate_invariants` and
 two bounds of `checks.check_prop_int_inequalities`, of the dense form in
 `checks.check_dp_closed_form`, of the unit and pair loop of
 `checks.check_uv_inequalities`, of the recurrences in `HjCf.__init__` and of
-`enumeration.enumerate_order_tuples` (over the full a/b/c box).  Each works
+`enumeration.enumerate_order_tuples` (over the full a/b/c box) and of
+`ratio.format_rational`, which copied its argument into a Fraction.  Each works
 term by term in `Fraction` arithmetic (or, for the uv loop, through the
 general predicate `holds`, and for the chain sequences, by list indexing).
 """
 
+import contextlib
+import io
+import json
 import math
 import random
 import types
@@ -26,6 +30,7 @@ import pytest
 
 import qhpp.surface
 from qhpp import checks, enumeration
+from qhpp.cli import main
 from qhpp.hjcf import HjCf
 from qhpp.obstruction import (
     CurveClass,
@@ -37,7 +42,14 @@ from qhpp.obstruction import (
     local_discrepancy,
     solve_dioph,
 )
-from qhpp.surface import BmyStatus, bmy_status, candidate_invariants, dp_data
+from qhpp.ratio import _format_over, format_rational
+from qhpp.surface import (
+    BmyStatus,
+    bmy_status,
+    candidate_invariants,
+    candidate_to_dict,
+    dp_data,
+)
 
 # ---------------------------------------------------------------------------
 # the former Fraction code
@@ -270,6 +282,13 @@ def reference_enumerate_order_tuples() -> list[enumeration.OrderTupleFamily]:
                         enumeration.OrderTupleFamily((a, b, c), ds[0], ds[-1], modulus)
                     )
     return families
+
+
+def reference_format_rational(x) -> str:
+    f = Fraction(x)
+    if f.denominator == 1:
+        return str(f.numerator)
+    return f"{f.numerator}/{f.denominator}"
 
 
 # ---------------------------------------------------------------------------
@@ -634,3 +653,61 @@ def test_order_tuple_families_match_the_fraction_loop():
     families = enumeration.enumerate_order_tuples()
     assert families == reference_enumerate_order_tuples()
     assert [f.fixed_orders for f in families] == [(2, 3, 5), (2, 3, 7), (2, 3, 11, 13)]
+
+
+# ---------------------------------------------------------------------------
+# printed rationals
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    ("x", "shown"),
+    [
+        (0, "0"), (7, "7"), (-7, "-7"), (True, "1"), (False, "0"),
+        (10**40 + 1, str(10**40 + 1)), (-(10**40), str(-(10**40))),
+        (Fraction(4, 8), "1/2"), (Fraction(3, -9), "-1/3"), (Fraction(-12, 4), "-3"),
+        (Fraction(0, 5), "0"), (Fraction(-134, 133), "-134/133"),
+        (Fraction(10**30, 7), f"{10**30}/7"),
+    ],
+)
+def test_format_rational_matches_the_fraction_copy(x, shown):
+    assert format_rational(x) == reference_format_rational(x) == shown
+
+
+def test_numerator_over_a_denominator_matches_the_fraction():
+    for den in range(1, 61):
+        for num in range(-3 * den, 3 * den + 1):
+            assert _format_over(num, den) == format_rational(Fraction(num, den)), (num, den)
+    big = 2**70 * 3**5
+    assert _format_over(-big, 6 * 2**70) == "-81/2"
+
+
+def test_cf_info_prints_the_fraction_values_on_every_chain():
+    # each chain and its reverse, whose ql is the chain's q1
+    cfs = sorted({c for cf in checks._all_cfs(200) for c in (cf, cf.reverse())})
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        codes = [main(["cf-info", str(cf), "--format", "json"]) for cf in cfs]
+    assert set(codes) == {0}
+    lines = out.getvalue().splitlines()
+    assert len(lines) == len(cfs) > 12_000
+    for cf, line in zip(cfs, lines):
+        got = json.loads(line)
+        dot_k = reference_dp_dot_k(cf)
+        assert got["dp_coeffs"] == [format_rational(c) for c in reference_coeffs(cf)], cf
+        assert got["dp_dot_k"] == format_rational(dot_k), cf
+        assert got["dp_sq"] == format_rational(-dot_k), cf
+        assert got["ep_sq"] == format_rational(Fraction(-cf.ql, cf.q)), cf
+
+
+def test_candidate_to_dict_prints_the_fraction_values_on_the_seeded_corpora(monkeypatch):
+    cands = _seeded_candidates(monkeypatch)
+    for cand in cands:
+        got = candidate_to_dict(cand)
+        assert got["ks2"] == format_rational(Fraction(cand.D, cand.det_r)), cand
+        assert got["three_e_orb"] == format_rational(3 * Fraction(cand.E, cand.det_r)), cand
+        assert got["D"] == format_rational(Fraction(cand.D)), cand
+    # both signs of K^2 and of e_orb, and integral and proper values of each
+    assert {cand.D > 0 for cand in cands} == {cand.E > 0 for cand in cands} == {True, False}
+    assert {cand.D % cand.det_r == 0 for cand in cands} == {True, False}
+    assert {3 * cand.E % cand.det_r == 0 for cand in cands} == {True, False}
