@@ -7,11 +7,13 @@ use a fixed seed so every run checks the same corpus.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
-from typing import Iterator
 from math import gcd, lcm
+from operator import mul
 
 from .hjcf import (
     HjCf,
@@ -43,11 +45,13 @@ class CheckResult:
     detail: str
 
 
-def _all_cfs(q_max: int) -> Iterator[HjCf]:
-    """Every chain of order 2..q_max, one order at a time, so that no suite
-    holds the whole corpus while it fills the dp_data memo."""
-    for q in range(2, q_max + 1):
-        yield from enumerate_cfs_of_order(q)
+@lru_cache(maxsize=1)
+def _all_cfs(q_max: int) -> tuple[HjCf, ...]:
+    """Every chain of order 2..q_max, built order by order and memoised for
+    one q_max, so that the six exhaustive suites share one corpus (6,495
+    chains, about 3.3 MB, at the default 200).  run_all_checks releases it
+    once those suites have run."""
+    return tuple(cf for q in range(2, q_max + 1) for cf in enumerate_cfs_of_order(q))
 
 
 def check_cf_identities(q_max: int = 200) -> CheckResult:
@@ -246,24 +250,32 @@ def _is_prime_powerish(q: int) -> bool:
 def check_class_counts(q_max: int = 200) -> CheckResult:
     """Chain classes of order q number (phi(q) + #{x^2 = 1 mod q})/2; this is
     phi(q)/2 + 1 whenever the unit group mod q is cyclic (q = 4, p^k, 2p^k),
-    which covers every order the pipelines enumerate."""
+    which covers every order the pipelines enumerate.  The counts are read
+    from the shared corpus."""
+    counts = Counter(cf.q for cf in _all_cfs(q_max))
     for q in range(3, q_max + 1):
-        got = len(enumerate_cfs_of_order(q))
+        got = counts[q]
         want = (_phi(q) + _count_sqrt1(q)) // 2
         if got != want:
             return CheckResult("class_counts", False, f"order {q}: {got} != {want}")
         if _is_prime_powerish(q) and got != _phi(q) // 2 + 1:
             return CheckResult("class_counts", False, f"order {q}: phi rule")
-    if len(enumerate_cfs_of_order(2)) != 1:
+    if counts[2] != 1:
         return CheckResult("class_counts", False, "order 2")
     return CheckResult("class_counts", True, f"orders 2..{q_max}")
+
+
+# Chains are immutable, so each distinct random draw is built once: 1 to 4
+# entries in 2..5 give at most 4 + 16 + 64 + 256 = 340 chains.
+_random_chain = lru_cache(maxsize=340)(HjCf)
+_REGIMES = tuple(Regime)
 
 
 def _random_candidate(rng: random.Random):
     cfs = []
     for _ in range(rng.randint(1, 4)):
         l = rng.randint(1, 4)
-        cfs.append(HjCf([rng.randint(2, 5) for _ in range(l)]))
+        cfs.append(_random_chain(tuple([rng.randint(2, 5) for _ in range(l)])))
     return candidate_invariants(cfs)
 
 
@@ -278,7 +290,7 @@ def check_esq_identity(n_random: int = 10_000, seed: int = 2024) -> CheckResult:
             for j in rng.sample(range(1, s.l + 1), k=min(s.l, rng.randint(0, 2))):
                 hits[(p, j)] = rng.randint(1, 3)
         inc = Incidence.from_hits(cand, hits)
-        curve = CurveClass(0, cand, inc, rng.choice(list(Regime)))
+        curve = CurveClass(0, cand, inc, rng.choice(_REGIMES))
         if esq_formula(curve) != esq_two_component(curve):
             return CheckResult("esq_identity", False, f"case {i}: {hits}")
     return CheckResult("esq_identity", True, f"{n_random} random incidences")
@@ -362,8 +374,9 @@ def check_reversal_invariance(n_random: int = 500, seed: int = 2026) -> CheckRes
 def _brute_force_dioph(problem: DiophProblem) -> list[tuple[int, ...]]:
     """Grid oracle: the full box 0 <= x_i <= target/coeff_i, every point
     tested in integers.  One lcm clears the target, the coefficients and the
-    group sums, another the quadratic coefficients and their bound; no code
-    is shared with solve_dioph."""
+    group sums, another the quadratic coefficients and their bound; each sum
+    is one ``sum(map(mul, ...))`` over the point, a group's coefficients
+    being zero off its indices.  No code is shared with solve_dioph."""
     den = lcm(
         problem.target.denominator,
         *(c.denominator for c in problem.coeffs),
@@ -371,7 +384,10 @@ def _brute_force_dioph(problem: DiophProblem) -> list[tuple[int, ...]]:
     )
     coeffs = [int(c * den) for c in problem.coeffs]
     target = int(problem.target * den)
-    groups = [(idx, int(exact * den)) for idx, exact in problem.group_constraints]
+    groups = [
+        ([a if i in idx else 0 for i, a in enumerate(coeffs)], int(exact * den))
+        for idx, exact in problem.group_constraints
+    ]
     quads = None
     if problem.quad_coeffs is not None:
         qden = lcm(
@@ -382,11 +398,11 @@ def _brute_force_dioph(problem: DiophProblem) -> list[tuple[int, ...]]:
         quad_bound = int(problem.quad_bound * qden)
     out = []
     for vec in product(*(range(target // a + 1) for a in coeffs)):
-        if sum(a * x for a, x in zip(coeffs, vec)) != target:
+        if sum(map(mul, coeffs, vec)) != target:
             continue
-        if any(sum(coeffs[i] * vec[i] for i in idx) != exact for idx, exact in groups):
+        if any(sum(map(mul, row, vec)) != exact for row, exact in groups):
             continue
-        if quads is not None and sum(b * x * x for b, x in zip(quads, vec)) > quad_bound:
+        if quads is not None and sum(map(mul, quads, map(mul, vec, vec))) > quad_bound:
             continue
         out.append(vec)
     return out
@@ -466,6 +482,10 @@ def check_coeff_tables() -> CheckResult:
     return CheckResult("coeff_tables", True, f"{len(tables)} coefficient tables")
 
 
+# The first _EXHAUSTIVE_SUITES entries read the shared chain corpus.  The
+# count, not the functions, marks where it is released, because a tracer may
+# replace the entries with wrappers.
+_EXHAUSTIVE_SUITES = 6
 ALL_CHECKS = [
     check_cf_identities,
     check_uv_inequalities,
@@ -482,4 +502,9 @@ ALL_CHECKS = [
 
 
 def run_all_checks() -> list[CheckResult]:
-    return [fn() for fn in ALL_CHECKS]
+    """Every suite in ALL_CHECKS order.  The chain corpus is released as soon
+    as the exhaustive suites have run, so that the random suites do not
+    allocate on top of it."""
+    results = [fn() for fn in ALL_CHECKS[:_EXHAUSTIVE_SUITES]]
+    _all_cfs.cache_clear()
+    return results + [fn() for fn in ALL_CHECKS[_EXHAUSTIVE_SUITES:]]

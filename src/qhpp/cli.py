@@ -223,10 +223,10 @@ def _cmd_dioph(args) -> int:
 
 
 def _edge(tok: str) -> tuple[int, int, int]:
-    """The 0-based ends and the weight of an ``i-j`` or ``i-j:w`` token."""
+    """The 1-based ends and the weight of an ``i-j`` or ``i-j:w`` token."""
     pair, _, weight = tok.partition(":")
     i, j = pair.split("-")
-    return int(i) - 1, int(j) - 1, int(weight) if weight else 1
+    return int(i), int(j), int(weight) if weight else 1
 
 
 def _tokens(text: str, flag: str, form: str, parse) -> list:
@@ -245,8 +245,17 @@ def _cmd_gram(args) -> int:
     diag = tuple(_tokens(args.diag, "--diag", "an integer", int))
     off: dict[tuple[int, int], int] = {}
     if args.edges:
-        for a, b, w in _tokens(args.edges, "--edges", "i-j or i-j:w in integers", _edge):
-            off[(min(a, b), max(a, b))] = w
+        for i, j, w in _tokens(args.edges, "--edges", "i-j or i-j:w in integers", _edge):
+            pair = f"--edges pair {i}-{j}"
+            for end in (i, j):
+                if not 1 <= end <= len(diag):
+                    raise ValueError(f"{pair} names vertex {end}, which --diag lacks")
+            if i == j:
+                raise ValueError(f"{pair} joins vertex {i} to itself")
+            key = (min(i, j) - 1, max(i, j) - 1)
+            if key in off:
+                raise ValueError(f"{pair} repeats an earlier pair")
+            off[key] = w
     print(gram_determinant(GramConfig(diag, off)))
     return 0
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import gcd
 
 from .hjcf import HjCf, parse_cf
@@ -77,21 +77,32 @@ def dp_data(cf: HjCf | str) -> CyclicSing:
     Dp.K = sum coeff_j * (n_j - 2), and the value is cross-checked against
     the closed form 2l - trace + 2 - (q1 + ql + 2)/q at construction.
     Results are memoised on the entry tuple, whose hash is computed in C,
-    not on the chain, whose hash is a Python method; a miss rebuilds the
-    chain from its entries.  A `verify --all` run makes 44,752 calls, of
-    which a share of 0.119 name a chain not asked for before, and a pass of
-    the six pipelines makes 6,015, 277 of them misses.
+    not on the chain, whose hash is a Python method; the memo keeps the
+    _DP_MEMO_SIZE most recently used records, and a miss keeps the chain it
+    was given.  A `verify --all` run makes 44,752 calls, of which a share of
+    0.119 name a chain not asked for before, and a pass of the six pipelines
+    makes 6,015, 277 of them misses.
     """
     if isinstance(cf, str):
         cf = parse_cf(cf)
-    if not cf.entries:
-        raise ValueError("dp_data needs a nonempty chain")
-    return _dp_data(cf.entries)
+    memo = _DP_MEMO
+    data = memo.pop(cf.entries, None)
+    if data is None:
+        if not cf.entries:
+            raise ValueError("dp_data needs a nonempty chain")
+        data = _dp_record(cf)
+        if len(memo) >= _DP_MEMO_SIZE:
+            del memo[next(iter(memo))]
+    memo[cf.entries] = data
+    return data
 
 
-@lru_cache(maxsize=512)
-def _dp_data(entries: tuple[int, ...]) -> CyclicSing:
-    cf = HjCf(entries)
+# dp_data's records by entry tuple, least recently used first
+_DP_MEMO: dict[tuple[int, ...], CyclicSing] = {}
+_DP_MEMO_SIZE = 512
+
+
+def _dp_record(cf: HjCf) -> CyclicSing:
     q, u, v = cf.q, cf.u_seq, cf.v_seq
     nums = tuple(q - v[j] - u[j] for j in range(1, cf.l + 1))
     dot_k_num = sum(c * (n - 2) for c, n in zip(nums, cf.entries))

@@ -248,6 +248,24 @@ def test_gram_names_a_malformed_token(capsys, flags, message):
     assert run(capsys, "gram", *flags) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    ("edges", "message"),
+    [
+        ("1-5", "--edges pair 1-5 names vertex 5, which --diag lacks"),
+        ("2-1,3-2", "--edges pair 3-2 names vertex 3, which --diag lacks"),
+        ("0-1", "--edges pair 0-1 names vertex 0, which --diag lacks"),
+        ("1-1", "--edges pair 1-1 joins vertex 1 to itself"),
+        ("1-2,2-1:3", "--edges pair 2-1 repeats an earlier pair"),
+        ("1-2:2,1-2:2", "--edges pair 1-2 repeats an earlier pair"),
+    ],
+)
+def test_gram_names_an_edge_the_diagonal_cannot_take(capsys, edges, message):
+    # the pair as typed, 1-based; before, 1-5 was reported as edge (0,4)
+    # and a repeated pair kept its last weight
+    assert run(capsys, "gram", "--diag", "-1,-2", "--edges", edges) == (2, "", f"error: {message}\n")
+    assert run(capsys, "gram", "--diag", "-1,-2", "--edges", "2-1:3") == (0, "-7\n", "")
+
+
 # ---------------------------------------------------------------------------
 # enumerate
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Pipeline tests: families, stage counts, fixture diffing, determinism."""
 
 import json
-from math import gcd
+from fractions import Fraction
+from itertools import product
+from math import comb, gcd
 
 import pytest
 
@@ -19,7 +21,7 @@ from qhpp.enumeration import (
 )
 from qhpp.fixtures import load_fixtures
 from qhpp.hjcf import parse_cf
-from qhpp.surface import candidate_invariants
+from qhpp.surface import candidate_invariants, dp_data
 
 # ---------------------------------------------------------------------------
 # order-tuple families
@@ -119,6 +121,51 @@ def test_q20_tallies_match_printed_shape_lists():
     # arrangement count of the first sub-case differs (42 vs 40)
     report = lemma_q20_pipeline()
     assert report.details["case_tallies"][1:] == [80, 6]
+
+
+def burnside_classes(length: int, trace: int) -> int:
+    """Chains of the given length and entry sum up to reversal, counted as
+    (compositions + palindromes) / 2 by stars and bars: with every entry
+    n_i = 2 + a_i, a composition is a_1 + ... + a_l = trace - 2l."""
+
+    def parts(total: int, n: int) -> int:
+        # total as an ordered sum of n non-negative integers
+        return comb(total + n - 1, n - 1) if n else int(total == 0)
+
+    spare = trace - 2 * length
+    half = length // 2
+    if length % 2 == 0:
+        palindromes = parts(spare // 2, half) if spare % 2 == 0 else 0
+    else:
+        # the middle entry takes spare - 2k, each half k
+        palindromes = sum(parts(k, half) for k in range(spare // 2 + 1))
+    return (parts(spare, length) + palindromes) // 2
+
+
+def test_q20_tallies_by_a_burnside_count():
+    # the same trace windows as the pipeline, counted without enumerating
+    tallies = []
+    for p3 in enumeration._ORDER5_CHAINS:
+        third = dp_data(p3)
+        dp_sq = Fraction(-third.dp_dot_k_num, third.q)
+        count = 0
+        for l in range(1, 11 - 2 - p3.l + 1):
+            tr_min, tr_max = enumeration._q20_trace_window(l, l + 2 + p3.l, dp_sq)
+            count += sum(burnside_classes(l, tr) for tr in range(max(2 * l, tr_min), tr_max + 1))
+        tallies.append(count)
+    assert tallies == [40, 80, 6] and sum(tallies) == 126
+    assert lemma_q20_pipeline().details["case_tallies"] == tallies
+
+
+def test_burnside_count_matches_a_plain_count():
+    for length in range(1, 7):
+        for spare in range(7):
+            shapes = {
+                min(ent, ent[::-1])
+                for ent in product(range(2, spare + 3), repeat=length)
+                if sum(ent) == 2 * length + spare
+            }
+            assert burnside_classes(length, 2 * length + spare) == len(shapes), (length, spare)
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +320,20 @@ def test_step6_case15_sweep_values():
     assert "-17/231" in negatives
     geometric = [b for b in branches if b["outcome"] == "geometric"]
     assert len(geometric) == 1 and geometric[0]["m"] == "11"
+
+
+def test_residual_sweep_calls_a_half_integral_m_non_integer():
+    # a synthetic residual row, L = 10, D = 256 = 16^2: the branch A, B3, C6
+    # meets curves of self-intersection -2, -3, -3 (sum L - 2) and has
+    # value 1 - degree = 12/217 > 0, so m = value * det R / sqrt(D) = 3/2
+    cand = candidate_invariants(["[2]", "[2,2,3]", "[2,3,2,2,2,3]"])
+    assert (cand.L, cand.D, cand.det_r) == (10, 256, 434)
+    sweep = enumeration._residual_sweep(cand)
+    assert sweep["branches"] == [
+        {"meets": ["A", "B3", "C2"], "value": "-16/217", "outcome": "negative"},
+        {"meets": ["A", "B3", "C6"], "value": "12/217", "outcome": "non_integer", "m": "3/2"},
+    ]
+    assert Fraction(12, 217) * cand.det_r / 16 == Fraction(3, 2)
 
 
 def test_step6_case23_sweep_values():

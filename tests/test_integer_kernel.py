@@ -430,11 +430,25 @@ def test_solver_on_edge_cases():
 def test_dp_data_is_a_plain_function_over_a_memo():
     # the tracer wraps plain public functions only
     assert isinstance(qhpp.surface.dp_data, types.FunctionType)
+    memo = qhpp.surface._DP_MEMO
+    memo.clear()
     cf = HjCf([3, 2, 4])
-    assert dp_data(cf) == dp_data(HjCf(cf.entries)) == dp_data("[3,2,4]")
-    # keyed on the entry tuple, which a miss turns back into the chain
-    assert dp_data(cf).cf == cf
-    assert qhpp.surface._dp_data.cache_parameters()["maxsize"] == 512
+    record = dp_data(cf)
+    assert record is dp_data(HjCf(cf.entries)) is dp_data("[3,2,4]")
+    # keyed on the entry tuple; a miss keeps the chain it was given
+    assert list(memo) == [(3, 2, 4)]
+    assert record.cf is cf
+    fresh = HjCf([2, 7, 3, 5])
+    assert dp_data(fresh).cf is fresh
+    # bounded, least recently used first out
+    size = qhpp.surface._DP_MEMO_SIZE
+    assert size == 512
+    for k in range(2, size + 1):
+        dp_data(HjCf([k + 1]))
+        dp_data(cf)
+    assert len(memo) == size
+    assert (3, 2, 4) in memo and fresh.entries not in memo
+    assert dp_data(cf) is record
 
 
 def test_dp_data_matches_the_fraction_sums_on_every_chain():

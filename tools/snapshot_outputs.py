@@ -5,8 +5,8 @@
 Runs ``qhpp verify --all``, ``qhpp enumerate --pipeline P --format F`` for
 every pipeline P and every format F, the noA2 scan at the benchmark's cap of
 2000 as JSON, and a fixed set of single requests (``cf-info``,
-``candidate``, ``gram``, ``dioph``, a ``dioph`` input error, a usage error
-and ``--help``), each in a fresh interpreter on the ``src/`` of CHECKOUT
+``candidate``, ``gram``, three ``gram`` edge errors, ``dioph``, a
+``dioph`` input error, a usage error and ``--help``), each in a fresh interpreter on the ``src/`` of CHECKOUT
 (default: the checkout holding this script), with the bundled reference
 tables and an 80-column terminal width.  ``api.txt`` lists the sorted ``__all__`` of ``qhpp`` and
 of each of its modules.  Each file holds the command's stdout, then its
@@ -31,6 +31,9 @@ REQUESTS = {
     "cf-info-long-json.txt": ["cf-info", "[3,2,2,2,2,2,2,2,2]", "--format", "json"],
     "candidate.txt": ["candidate", "--sings", "[2],[2,2],[7],[13]"],
     "gram-negative-diag.txt": ["gram", "--diag", "-1,-2,-3,-5", "--edges", "1-2,1-3,1-4"],
+    "gram-edge-out-of-range.txt": ["gram", "--diag", "-1,-2", "--edges", "1-5"],
+    "gram-edge-loop.txt": ["gram", "--diag", "-1,-2", "--edges", "1-1"],
+    "gram-edge-repeated.txt": ["gram", "--diag", "-1,-2", "--edges", "1-2,2-1:3"],
     "dioph.txt": ["dioph", "--coeffs", "1/3,1/5,1/33", "--target", "56/55"],
     "dioph-quad.txt": [
         "dioph", "--coeffs", "1/3,1/5,1/33", "--target", "56/55",
