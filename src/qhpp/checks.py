@@ -356,9 +356,9 @@ def check_reversal_invariance(n_random: int = 500, seed: int = 2026) -> CheckRes
         flipped = list(cfs)
         flipped[k] = flipped[k].reverse()
         other = candidate_invariants(flipped)
-        if (other.ks2, other.d_value, other.e_orb, other.L) != (
+        if (other.ks2, other.D, other.e_orb, other.L) != (
             cand.ks2,
-            cand.d_value,
+            cand.D,
             cand.e_orb,
             cand.L,
         ):

@@ -115,6 +115,8 @@ def _diff_rows(
     """Diff computed survivors against fixture rows; returns survivor dicts.
 
     Survivor dicts carry the fixture row number under "no" when matched.
+    A row's ``orders`` (table1) or ``q`` (the fourth order, in the other
+    scans) is diffed where the row records it.
     """
     dicts = {key: _survivor_dict(cand) for key, cand in computed.items()}
     for row in fixture_rows:
@@ -126,8 +128,12 @@ def _diff_rows(
             )
             continue
         d["no"] = row["no"]
-        for what, col in (("ks2", "ks2"), ("cmp", "cmp"), ("3*e_orb", "three_e_orb")):
-            _expect(report, label, f"row {row['no']} {what}", d[col], row[col])
+        cells = {**d, "q": d["orders"][-1]}
+        for what, col in (
+            ("ks2", "ks2"), ("cmp", "cmp"), ("3*e_orb", "three_e_orb"), ("orders", "orders"), ("q", "q"),
+        ):
+            if col in row:
+                _expect(report, label, f"row {row['no']} {what}", cells[col], row[col])
     out = []
     for key in sorted(dicts):
         d = dicts[key]
@@ -405,6 +411,7 @@ def noA2_scan(q_cap: int = 500) -> PipelineReport:
     for ex in load_fixtures()["noA2_examples"]:
         cf = parse_cf(ex["cf"])
         cand = candidate_invariants(["[2]", "[2,2]", ex["third"], cf])
+        _expect(report, "noA2", f"example q={ex['q']} order", cf.q, ex["q"])
         _expect(report, "noA2", f"example q={ex['q']} D", format_rational(cand.D), ex["D"])
     return report
 
@@ -496,28 +503,70 @@ def small_q_pipeline() -> PipelineReport:
 # ---------------------------------------------------------------------------
 
 
+def _no_linear_solution(cand: SurfaceCandidate, m_values: list, targets: list) -> dict | None:
+    """Closes a case when the degree equation with one variable per chain has
+    no solution at any target."""
+    probs = [aggregated_problem(cand, t)[0] for t in targets]
+    sols = [[list(s) for s in solve_dioph(prob)] for prob in probs]
+    coeffs = [format_rational(c) for c in probs[0].coeffs]
+    return None if any(sols) else {"agg_coeffs": coeffs, "agg_solutions": sols}
+
+
+def _no_component_solution(cand: SurfaceCandidate, m_values: list, targets: list) -> dict | None:
+    """Closes a case when the degree equation over every curve has no
+    solution at any target."""
+    sols = [[list(s) for s in solve_dioph(component_problem(cand, t)[0])] for t in targets]
+    return None if any(sols) else {"component_solutions": sols}
+
+
+def _quadratic_filter(cand: SurfaceCandidate, m_values: list, targets: list) -> dict | None:
+    """Closes a one-m case when no solution of the one-variable-per-chain
+    equation, nor the equation over every curve, is realized by curves under
+    the quadratic bound 1 + m^2 K^2/D'."""
+    if len(m_values) != 1:
+        return None
+    (target,), (m,) = targets, m_values
+    quad_bound = 1 + Fraction(m * m) / cand.d_prime * cand.ks2
+    agg, agg_labels = aggregated_problem(cand, target)
+    agg_sols = solve_dioph(agg)
+    groups = [{p: agg.coeffs[i] * sol[i] for i, p in enumerate(agg_labels)} for sol in agg_sols]
+    if any(solve_dioph(component_problem(cand, target, quad_bound, g)[0]) for g in (*groups, None)):
+        return None
+    return {
+        "quad_bound": format_rational(quad_bound),
+        "agg_coeffs": [format_rational(c) for c in agg.coeffs],
+        "agg_solutions": [[list(s) for s in agg_sols]],
+        "surviving_realizations": 0,
+    }
+
+
+# the rules that may close an l11 case with some m, weakest first; each
+# returns its cells when it closes the case, else None, and looks up the
+# builders and the solver in this module when called, so that a tracer's
+# wrappers are the ones it calls
+_L11_RULES = (
+    ("no_linear_solution", _no_linear_solution),
+    ("no_component_solution", _no_component_solution),
+    ("quadratic_filter", _quadratic_filter),
+)
+
+
 def l11_rationality_checks() -> PipelineReport:
-    """Run the scripted curve-class contradiction for each BMY survivor of the
+    """Run the curve-class contradiction for each BMY survivor of the
     low-rank scan, assuming the surface were not rational.
 
-    Each case bounds the leading coefficient m of a (-1)-curve through
-    sqrt(D')/(L-9), then shows the degree equation (with the adjunction
-    coefficients of the candidate as weights) has no admissible solution.
-    The primitive-closure index c is an input per case, taken from the
-    reference data.
+    Each case bounds the leading coefficient m of a (-1)-curve by
+    sqrt(D')/(L-9).  No positive m closes the case; else the first rule of
+    ``_L11_RULES`` that holds does, and only its cells enter the result.
+    The rule (None when none holds) and each cell the reference case records
+    are diffed.  The primitive-closure index c is an input per case, taken
+    from the reference data.
     """
     fixture = load_fixtures()["l11_cases"]
     q20 = load_fixtures()["q20"]
     report = PipelineReport("l11")
     rows_by_no = {row["no"]: row for row in q20["rows"]}
     eliminated = 0
-    # the rules that solve one problem per m: the problem builder, the result
-    # key of the solutions and the word of their mismatch (built per call, so
-    # that it holds the module's builders as they are at the time)
-    per_m = {
-        "no_linear_solution": (aggregated_problem, "agg_solutions", "solutions"),
-        "no_component_solution": (component_problem, "component_solutions", "component solutions"),
-    }
 
     for case in fixture:
         label = f"l11 case {case['case']}"
@@ -529,6 +578,7 @@ def l11_rationality_checks() -> PipelineReport:
             "D": format_rational(cand.D),
             "D_prime": format_rational(cand.d_prime),
         }
+        report.survivors.append(result)
         _expect(report, label, "D", result["D"], case["D"])
         _expect(report, label, "D'", result["D_prime"], case["D_prime"])
         # the m bound needs sqrt(D') and L > 9
@@ -539,7 +589,6 @@ def l11_rationality_checks() -> PipelineReport:
             unbounded = f"L computed {cand.L}, the m bound needs L > 9"
         if unbounded:
             report.mismatches.append(f"{label}: {unbounded}")
-            report.survivors.append(result)
             continue
         bound = m_upper_bound(cand.d_prime, cand.L)
         result["m_bound"] = format_rational(bound)
@@ -547,70 +596,26 @@ def l11_rationality_checks() -> PipelineReport:
         m_values = list(range(1, math.floor(bound) + 1))
         result["m_values"] = m_values
         _expect(report, label, "admissible m", m_values, case["m_values"])
-        if not m_values:
-            result["eliminated_by"] = "no_positive_m"
-            eliminated += 1
-            report.survivors.append(result)
-            continue
 
-        sqrt_dp = rational_sqrt(cand.d_prime)
-        targets = [1 + Fraction(m) / sqrt_dp * cand.ks2 for m in m_values]
-        result["targets"] = [format_rational(t) for t in targets]
-        _expect(report, label, "targets", result["targets"], case.get("targets"))
-
-        rule = case["eliminated_by"]
-        if rule in per_m:
-            build, key, word = per_m[rule]
-            sols = []
-            for t in targets:
-                prob, _ = build(cand, t)
-                if build is aggregated_problem:
-                    result.setdefault("agg_coeffs", [format_rational(c) for c in prob.coeffs])
-                sols.append([list(s) for s in solve_dioph(prob)])
-            result[key] = sols
-            _expect(report, label, word, sols, case.get(key))
-            if not any(sols):
-                result["eliminated_by"] = rule
-                eliminated += 1
-        elif rule == "quadratic_filter" and len(m_values) != 1:
-            report.mismatches.append(
-                f"{label}: the quadratic filter takes one m, computed {m_values}"
-            )
-        elif rule == "quadratic_filter":
-            (target,), (m,) = targets, m_values
-            quad_bound = 1 + Fraction(m * m) / cand.d_prime * cand.ks2
-            result["quad_bound"] = format_rational(quad_bound)
-            _expect(report, label, "quad bound", result["quad_bound"], case.get("quad_bound"))
-            agg, agg_labels = aggregated_problem(cand, target)
-            result["agg_coeffs"] = [format_rational(c) for c in agg.coeffs]
-            agg_sols = solve_dioph(agg)
-            result["agg_solutions"] = [[list(s) for s in agg_sols]]
-            _expect(
-                report, label, "linear solutions",
-                result["agg_solutions"], case.get("agg_solutions"),
-            )
-            leftover = []
-            for sol in agg_sols:
-                groups = {p: agg.coeffs[i] * sol[i] for i, p in enumerate(agg_labels)}
-                probg, _ = component_problem(
-                    cand, target, with_quad_bound=quad_bound, group_sums=groups
-                )
-                reals = solve_dioph(probg)
-                if reals:
-                    leftover.append((sol, reals))
-            full, _ = component_problem(cand, target, with_quad_bound=quad_bound)
-            full_sols = solve_dioph(full)
-            if full_sols:
-                leftover.append(("unconstrained", full_sols))
-            result["surviving_realizations"] = len(leftover)
-            if leftover:
-                report.mismatches.append(f"{label}: realizations survive: {leftover}")
+        rule, cells = "no_positive_m", {}
+        if m_values:
+            sqrt_dp = rational_sqrt(cand.d_prime)
+            targets = [1 + Fraction(m) / sqrt_dp * cand.ks2 for m in m_values]
+            result["targets"] = [format_rational(t) for t in targets]
+            _expect(report, label, "targets", result["targets"], case.get("targets"))
+            for rule, closes in _L11_RULES:
+                if (cells := closes(cand, m_values, targets)) is not None:
+                    break
             else:
-                result["eliminated_by"] = "quadratic_filter"
-                eliminated += 1
-        else:
-            report.mismatches.append(f"{label}: no elimination rule named {rule!r}")
-        report.survivors.append(result)
+                rule, cells = None, {}
+        result.update(cells)
+        for key, value in cells.items():
+            if key in case:
+                _expect(report, label, key, value, case[key])
+        _expect(report, label, "eliminated_by", rule, case["eliminated_by"])
+        if rule is not None:
+            result["eliminated_by"] = rule
+            eliminated += 1
 
     report.stages = [("cases", len(fixture)), ("eliminated", eliminated)]
     if eliminated != len(fixture):
@@ -804,7 +809,8 @@ def _branch_rows(branches: list[dict]) -> list[tuple]:
 
 def step6_classification() -> PipelineReport:
     """Classify the 24 main-table rows by their del Pezzo elimination rule and
-    run the explicit minimal-curve sweeps for the three residual rows."""
+    sweep each residual row: an L violation or its branches close it (a
+    geometric branch only with a fixture case); the kind, then cells, are diffed."""
     fixtures = load_fixtures()
     fixture = fixtures["step6"]
     rows = fixtures["table1"]["rows"]
@@ -831,28 +837,27 @@ def step6_classification() -> PipelineReport:
             )
             continue
         sweep = report.details[f"case{no}"] = _residual_sweep(cand)
+        # every sweep closes its row, one with a geometric branch by its fixture case
+        geometric = any(b["outcome"] == "geometric" for b in sweep.get("branches", ()))
+        eliminated += fx is not None or not geometric
         if fx is None:
             report.mismatches.append(f"{label}: no fixture case for this residual row")
-        elif "branches" in fx:
+            continue
+        kind = sweep.get("eliminated_by", "branches")
+        fixture_kind = "branches" if "branches" in fx else "L_violation"
+        _expect(report, label, "sweep", kind, fixture_kind)
+        if kind == fixture_kind == "branches":
             _expect(report, label, "ks2", format_rational(cand.ks2), fx["ks2"])
             _expect(
                 report, label, "sqrt(D)",
                 format_rational(rational_sqrt(cand.d_prime)), fx["sqrt_D"],
             )
-            if "branches" not in sweep:
-                report.mismatches.append(f"{label}: expected sweep branches")
-                continue
-            # every branch outcome (negative, non_integer, geometric) closes the row
-            eliminated += 1
             got, want = _branch_rows(sweep["branches"]), _branch_rows(fx["branches"])
             if got != want:
                 report.mismatches.append(
                     f"{label}: sweep branches differ: computed {got}, fixture {want}"
                 )
-        elif "branches" in sweep:
-            report.mismatches.append(f"{label}: expected an L violation")
-        else:
-            eliminated += 1
+        elif kind == fixture_kind:
             _expect(
                 report, label, "L/required",
                 (sweep["L"], sweep["required"]), (fx["L"], fx["required"]),

@@ -28,14 +28,15 @@ ENV_VAR = "QHPP_FIXTURES"
 _CHAIN = "names no singularity"
 _RATIONAL = "is not a rational"
 _ROW = {"no": int, "sings": [_CHAIN], "ks2": object, "cmp": object, "three_e_orb": object}
+_Q_ROW = {**_ROW, "q": object}
 _SWEEP = {
     "ks2": object, "sqrt_D": object,
     "branches": [{"meets": [str], "value": str, "m?": str, "outcome": str}],
 }
 SCHEMA = {
-    "table1": {"stage_counts": dict, "rows": [_ROW]},
-    "q20": {"stage_counts": dict, "case_tallies": list, "rows": [_ROW], "bmy_rows": list},
-    "small_q": {"stage_counts": dict, "rows": [_ROW], "bmy_rows": list},
+    "table1": {"stage_counts": dict, "rows": [{**_ROW, "orders": object}]},
+    "q20": {"stage_counts": dict, "case_tallies": list, "rows": [_Q_ROW], "bmy_rows": list},
+    "small_q": {"stage_counts": dict, "rows": [_Q_ROW], "bmy_rows": list},
     "l11_cases": [{
         "case": object, "row": int, "c": int, "D": object, "D_prime": object,
         "m_bound": object, "m_values": object, "eliminated_by": object,

@@ -35,6 +35,13 @@ __all__ = [
 # 0.6 s and 42 MB at 100,000 of them.
 CHAIN_LENGTH_LIMIT = 100_000
 
+# The most digits the order of a chain that parse_cf or cf_from_pair accepts
+# may have.  Memory grows with the length times the digits of the order, as
+# every u_j and v_j is stored; the orders qhpp scans stay below 12,001.
+ORDER_DIGIT_LIMIT = 100
+_ORDER_CEILING = 10**ORDER_DIGIT_LIMIT
+_ORDER_ERROR = f"a chain's order has more than the limit of {ORDER_DIGIT_LIMIT} digits"
+
 
 class HjCf:
     """A Hirzebruch-Jung continued fraction, immutable after construction.
@@ -154,11 +161,14 @@ def cf_from_pair(q: int, q1: int) -> HjCf:
     """Expand q/q1 into the unique chain with all entries >= 2.
 
     Requires q >= 2, 1 <= q1 < q and gcd(q, q1) = 1; round-trips with
-    cf_evaluate.  The length is read first, so a chain longer than
+    cf_evaluate.  An order of more than ORDER_DIGIT_LIMIT digits is refused
+    first, and the length is read next, so a chain longer than
     CHAIN_LENGTH_LIMIT is refused before it is expanded.
     """
     if q < 2:
         raise ValueError(f"order must be >= 2, got {q}")
+    if q >= _ORDER_CEILING:
+        raise ValueError(_ORDER_ERROR)
     if not 1 <= q1 < q:
         raise ValueError(f"q1 must satisfy 1 <= q1 < q, got q1={q1}, q={q}")
     if gcd(q, q1) != 1:
@@ -359,7 +369,11 @@ def parse_cf(text: str) -> HjCf:
     Accepts the bracket form ``[3,2,2]``, a fraction ``19/9`` (expanded via
     cf_from_pair) or a bare integer ``7`` (meaning 7/1).  Either chain form
     has at most CHAIN_LENGTH_LIMIT entries; a longer bracket body is refused
-    before any entry is converted.
+    before any entry is converted.  Its order has at most ORDER_DIGIT_LIMIT
+    digits: a number written with more is refused before it is converted,
+    and a bracket chain's order is summed entry by entry, up to the first
+    prefix past the bound (each entry >= 2 makes the order of the prefix
+    grow), before the chain is built.
     Chains are immutable, so results are memoised on the text: the fixture
     load and the six pipelines, run in one process, make 509 calls on 47
     distinct strings.
@@ -381,8 +395,38 @@ def _parse_cf(text: str) -> HjCf:
             raise ValueError(
                 f"a bracket chain has more than the limit of {CHAIN_LENGTH_LIMIT:,} entries"
             )
-        return HjCf(map(int, tokens))
+        entries = tuple(map(_order_int, tokens))
+        a, b = 0, 1
+        for n in entries:
+            if n < 2:
+                break  # HjCf names the entry
+            a, b = b, n * b - a
+            if b >= _ORDER_CEILING:
+                raise ValueError(_ORDER_ERROR)
+        return HjCf(entries)
     if "/" in s:
         num, den = s.split("/", 1)
-        return cf_from_pair(int(num), int(den))
-    return cf_from_pair(int(s), 1)
+        q = _order_int(num)
+        if _past_digit_limit(den):
+            # such a q1 is not below any order within the bound
+            raise ValueError(
+                f"q1 must satisfy 1 <= q1 < q, got a q1 of more than"
+                f" {ORDER_DIGIT_LIMIT} digits, q={q}"
+            )
+        return cf_from_pair(q, int(den))
+    return cf_from_pair(_order_int(s), 1)
+
+
+def _past_digit_limit(token: str) -> bool:
+    """True when the number written in token has more than
+    ORDER_DIGIT_LIMIT digits, counted before any conversion."""
+    return len(token.strip().lstrip("+-").lstrip("0")) > ORDER_DIGIT_LIMIT
+
+
+def _order_int(token: str) -> int:
+    """int(token), refused before the conversion when the number has more
+    than ORDER_DIGIT_LIMIT digits: no entry or order of a chain within the
+    bound has that many."""
+    if _past_digit_limit(token):
+        raise ValueError(_ORDER_ERROR)
+    return int(token)

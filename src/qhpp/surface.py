@@ -120,8 +120,8 @@ class SurfaceCandidate:
     """A list of cyclic singularities with all derived surface invariants.
 
     ``D`` = det R * K^2 and ``E`` = det R * e_orb are the integers the
-    kernel computes; ``ks2``, ``d_value``, ``e_orb`` and ``d_prime`` are
-    built from them on first use, one Fraction each.
+    kernel computes; ``ks2``, ``e_orb`` and ``d_prime`` are built from
+    them on first use, one Fraction each.
     """
 
     sings: tuple[CyclicSing, ...]
@@ -134,10 +134,6 @@ class SurfaceCandidate:
     @cached_property
     def ks2(self) -> Fraction:
         return Fraction(self.D, self.det_r)
-
-    @cached_property
-    def d_value(self) -> Fraction:
-        return Fraction(self.D)
 
     @cached_property
     def e_orb(self) -> Fraction:

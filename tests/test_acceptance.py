@@ -47,8 +47,8 @@ def test_criterion_01_table1_reproduction():
 
 
 def test_criterion_02_discriminant_spot_checks():
-    d1 = candidate_invariants(["[2]", "[2,2]", "[7]", "[13]"]).d_value
-    d2 = candidate_invariants(["[2]", "[2,2]", "[7]", "[3,2,2,2,2,2,2,2,2]"]).d_value
+    d1 = candidate_invariants(["[2]", "[2,2]", "[7]", "[13]"]).D
+    d2 = candidate_invariants(["[2]", "[2,2]", "[7]", "[3,2,2,2,2,2,2,2,2]"]).D
     ok = d1 == 9216 == 96 * 96 and d2 == 36
     _report(2, ok, f"D(row 1) = {d1} = 96^2, D(row 2) = {d2}")
     assert ok
@@ -178,7 +178,7 @@ def test_criterion_09_step6_residual_checks():
     if not all(b["outcome"] in ("negative", "geometric") for b in case23):
         problems.append("case 23 outcomes")
     cand15 = candidate_invariants(["[2]", "[3]", "[3,2,2]", "[3,2,2,2,2]"])
-    if cand15.ks2 != Fraction(50, 231) or cand15.d_value != 100:
+    if cand15.ks2 != Fraction(50, 231) or cand15.D != 100:
         problems.append("case 15 constants")
     _report(9, not problems, "step6 residual rows 15/23/24, exact rejection data")
     assert not problems, problems

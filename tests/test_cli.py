@@ -74,6 +74,47 @@ def test_chain_past_its_length_limit_is_input_error(capsys, argv):
     )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 40,000 entries 3: the order passes the bound after about 240 of them
+        ("candidate", "--sings", "[" + ",".join(["3"] * 40_000) + "],[2]"),
+        ("cf-info", "[" + ",".join(["3"] * 300) + "]"),
+        # one entry, or a fraction, of 101 digits; 5,000 digits pass CPython's
+        # limit on integer conversion, which is never reached
+        ("cf-info", "[1" + "0" * 100 + "]"),
+        ("cf-info", "[" + "2" * 5_000 + "]"),
+        ("cf-info", "1" + "0" * 100 + "/3"),
+        ("cf-info", "1" + "0" * 100),
+        ("cf-info", "9" * 5_000),
+    ],
+)
+def test_chain_past_its_order_limit_is_input_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: a chain's order has more than the limit of 100 digits\n"
+
+
+def test_q1_past_the_order_limit_is_named(capsys):
+    # q1 = 10^100 is not below the order 7; its digits are never converted
+    code, out, err = run(capsys, "cf-info", "7/1" + "0" * 100)
+    assert (code, out) == (2, "")
+    assert err == "error: q1 must satisfy 1 <= q1 < q, got a q1 of more than 100 digits, q=7\n"
+
+
+@pytest.mark.parametrize(
+    ("text", "q"),
+    [
+        ("[" + "9" * 100 + "]", 10**100 - 1),
+        ("9" * 100 + "/2", 10**100 - 1),
+        ("0" * 200 + "7/+03", 7),
+    ],
+)
+def test_chain_at_its_order_limit_is_accepted(capsys, text, q):
+    code, out, _ = run(capsys, "cf-info", text, "--format", "json")
+    assert code == 0 and json.loads(out)["q"] == q
+
+
 def test_bracket_chain_past_its_length_limit_is_input_error(capsys):
     code, out, _ = run(capsys, "cf-info", "[" + ",".join(["2"] * 100_000) + "]")
     assert code == 0 and out.startswith("cf: [2,2,")
@@ -487,25 +528,50 @@ def test_fixture_value_naming_something_absent_is_input_error(
 
 
 @pytest.mark.parametrize(
-    ("no", "mismatch", "tally"),
+    ("no", "mismatch", "before"),
     [
         # row 15 violates L where its fixture case has sweep branches
-        (15, "step6 case 15: expected sweep branches", "only 2 of 3"),
+        (15, "step6 case 15: sweep computed L_violation, fixture branches", []),
         # row 1 becomes residual and has no fixture case
-        (1, "step6 case 1: no fixture case for this residual row", "only 3 of 4"),
+        (1, "step6 case 1: no fixture case for this residual row", [
+            "step6: rule A computed [2, 3, 4, 6, 8, 9, 11, 12, 13, 17, 19], "
+            "fixture [1, 2, 3, 4, 6, 8, 9, 11, 12, 13, 17, 19]",
+            "step6: rule residual computed [1, 15, 23, 24], fixture [15, 23, 24]",
+        ]),
     ],
 )
 def test_step6_residual_row_unlike_its_fixture_case_is_a_mismatch(
-    capsys, tables, no, mismatch, tally
+    capsys, tables, no, mismatch, before
 ):
+    # the computed sweep closes the row either way: it counts as eliminated
     rows = fx._load(None)["table1"]["rows"]
     assert (rows[no - 1]["no"], rows[23]["no"]) == (no, 24)
     write_edited_tables(tables, ("table1", "rows", no - 1, "sings"), rows[23]["sings"])
     code, out, _ = run(capsys, "enumerate", "--pipeline", "step6", "--format", "json")
     assert code == 1
-    mismatches = json.loads(out)["mismatches"]
-    assert mismatch in mismatches
-    assert mismatches[-1] == f"step6: {tally} residual rows eliminated"
+    report = json.loads(out)
+    assert report["mismatches"] == [*before, mismatch]
+    residual = report["details"]["rules"]["residual"]
+    assert no in residual
+    n = len(residual)
+    assert report["stages"][-2:] == [["residual", n], ["residual_eliminated", n]]
+    assert report["details"][f"case{no}"]["eliminated_by"] == "L_violation"
+
+
+def test_step6_geometric_branch_without_a_fixture_case_is_not_eliminated(capsys, tables):
+    # row 1 given row 15's chains becomes residual with a geometric branch,
+    # which no fixture case closes
+    rows = fx._load(None)["table1"]["rows"]
+    assert (rows[0]["no"], rows[14]["no"]) == (1, 15)
+    write_edited_tables(tables, ("table1", "rows", 0, "sings"), rows[14]["sings"])
+    code, out, _ = run(capsys, "enumerate", "--pipeline", "step6", "--format", "json")
+    assert code == 1
+    report = json.loads(out)
+    assert report["mismatches"][-2:] == [
+        "step6 case 1: no fixture case for this residual row",
+        "step6: only 3 of 4 residual rows eliminated",
+    ]
+    assert report["stages"][-2:] == [["residual", 4], ["residual_eliminated", 3]]
 
 
 def test_step6_residual_row_with_a_non_square_d_prime_is_a_mismatch(capsys, tables):
@@ -546,13 +612,6 @@ def test_l11_case_with_a_non_square_d_prime_is_a_mismatch(capsys, tables):
             "l11 case 4: D' computed 576, fixture 16",
             "l11 case 4: L computed 4, the m bound needs L > 9",
         ]),
-        # case 4 has m values [1, 2]
-        (("l11_cases", 3, "eliminated_by"), "quadratic_filter", [
-            "l11 case 4: the quadratic filter takes one m, computed [1, 2]",
-        ]),
-        (("l11_cases", 3, "eliminated_by"), "no_such_rule", [
-            "l11 case 4: no elimination rule named 'no_such_rule'",
-        ]),
     ],
 )
 def test_l11_case_it_cannot_evaluate_is_a_mismatch(capsys, tables, path, value, mismatches):
@@ -563,6 +622,74 @@ def test_l11_case_it_cannot_evaluate_is_a_mismatch(capsys, tables, path, value, 
     assert report["mismatches"] == [*mismatches, "l11: only 3 of 4 cases eliminated"]
     assert report["stages"] == [["cases", 4], ["eliminated", 3]]
     assert "eliminated_by" not in report["survivors"][-1]
+
+
+@pytest.mark.parametrize(
+    ("path", "value", "mismatch"),
+    [
+        # case 4 has m values [1, 2]: the quadratic filter does not apply, and
+        # the first rule that closes it is the component equation
+        (("l11_cases", 3, "eliminated_by"), "quadratic_filter",
+         "l11 case 4: eliminated_by computed no_component_solution, fixture quadratic_filter"),
+        (("l11_cases", 3, "eliminated_by"), "no_such_rule",
+         "l11 case 4: eliminated_by computed no_component_solution, fixture no_such_rule"),
+        (("l11_cases", 0, "agg_coeffs", 0), "1/4",
+         "l11 case 1: agg_coeffs computed ['1/3', '3/5'], fixture ['1/4', '3/5']"),
+    ],
+    ids=["swapped_rule", "unknown_rule", "agg_coeffs"],
+)
+def test_l11_fixture_rule_and_cells_are_diffed_not_followed(capsys, tables, path, value, mismatch):
+    write_edited_tables(tables, path, value)
+    code, out, err = run(capsys, "enumerate", "--pipeline", "l11", "--format", "json")
+    assert (code, err) == (1, "")
+    report = json.loads(out)
+    assert report["mismatches"] == [mismatch]
+    assert report["stages"] == [["cases", 4], ["eliminated", 4]]
+    assert [s["eliminated_by"] for s in report["survivors"]] == [
+        "no_linear_solution", "no_positive_m", "quadratic_filter", "no_component_solution",
+    ]
+
+
+def test_l11_case_no_rule_closes_is_a_mismatch(capsys, monkeypatch):
+    rules = [r for r in enumeration._L11_RULES if r[0] != "no_component_solution"]
+    monkeypatch.setattr(enumeration, "_L11_RULES", tuple(rules))
+    code, out, err = run(capsys, "enumerate", "--pipeline", "l11", "--format", "json")
+    assert (code, err) == (1, "")
+    report = json.loads(out)
+    assert report["mismatches"] == [
+        "l11 case 4: eliminated_by computed None, fixture no_component_solution",
+        "l11: only 3 of 4 cases eliminated",
+    ]
+    assert report["stages"] == [["cases", 4], ["eliminated", 3]]
+    # only a closing rule's cells enter the result
+    assert report["survivors"][-1] == {
+        "case": 4, "sings": ["[2]", "[3]", "[3,2]", "[3,2,2,3,2,2,2]"], "D": "16",
+        "D_prime": "16", "m_bound": "2", "m_values": [1, 2], "targets": ["647/645", "649/645"],
+    }
+
+
+@pytest.mark.parametrize(
+    ("pipeline", "path", "value", "mismatch"),
+    [
+        ("table1", ("table1", "rows", 0, "orders"), [2, 3, 7, 14],
+         "table1: row 1 orders computed [2, 3, 7, 13], fixture [2, 3, 7, 14]"),
+        ("q20", ("q20", "rows", 0, "q"), 10, "q20: row 1 q computed 9, fixture 10"),
+        ("small-q", ("small_q", "rows", 0, "q"), 10, "small-q: row 1 q computed 9, fixture 10"),
+        ("noA2", ("noA2_examples", 0, "q"), 8, "noA2: example q=8 order computed 7, fixture 8"),
+    ],
+)
+def test_row_orders_are_diffed(capsys, tables, monkeypatch, pipeline, path, value, mismatch):
+    argv = ["enumerate", "--pipeline", pipeline, "--format", "json"]
+    argv += ["--cap", "60"] if pipeline == "noA2" else []
+    write_edited_tables(tables, path, value)
+    code, out, _ = run(capsys, *argv)
+    edited = json.loads(out)["mismatches"]
+    monkeypatch.delenv(fx.ENV_VAR)
+    fx._load.cache_clear()
+    _, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert [m for m in edited if m != mismatch] == json.loads(out)["mismatches"]
+    assert mismatch in edited
 
 
 CORRUPTED = {

@@ -9,6 +9,7 @@ import pytest
 from qhpp import hjcf
 from qhpp.hjcf import (
     CHAIN_LENGTH_LIMIT,
+    ORDER_DIGIT_LIMIT,
     HjCf,
     _chain_shape,
     _dual_pairs,
@@ -383,3 +384,11 @@ def test_cf_from_pair_bounds_the_chain_length():
     assert cf_from_pair(100_001, 100_000).entries == (2,) * CHAIN_LENGTH_LIMIT
     with pytest.raises(ValueError, match="^the chain of 100002/100001 has 100,001 entries,"):
         cf_from_pair(100_002, 100_001)
+
+
+def test_cf_from_pair_bounds_the_order():
+    top = 10**ORDER_DIGIT_LIMIT - 1
+    assert cf_from_pair(top, 2).entries == ((top + 1) // 2, 2)
+    # 10^100 + 1 over 2 would be the same two-entry chain one order higher
+    with pytest.raises(ValueError, match="^a chain's order has more than the limit of 100 digits$"):
+        cf_from_pair(top + 2, 2)

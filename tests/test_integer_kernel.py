@@ -604,7 +604,7 @@ def test_candidate_invariants_match_the_fraction_sums_on_the_seeded_corpora(monk
     classes = set()
     for cand in cands:
         ref = reference_candidate_invariants([s.cf for s in cand.sings], cand.c)
-        got = (cand.ks2, cand.d_value, cand.e_orb, cand.d_prime, cand.L, cand.det_r)
+        got = (cand.ks2, cand.D, cand.e_orb, cand.d_prime, cand.L, cand.det_r)
         assert got == ref, cand
         status = bmy_status(cand)
         assert status is reference_bmy_status(ref[0], ref[2]), cand

@@ -191,7 +191,7 @@ CASE15 = ["[2]", "[3]", "[3,2,2]", "[3,2,2,2,2]"]
 def test_minimal_curve_m_case15():
     cand = candidate_invariants(CASE15)
     assert cand.ks2 == Fraction(50, 231)
-    assert cand.d_value == 100
+    assert cand.D == 100
     # C.C1 = C.D1 = C.A = 1
     inc = Incidence.from_hits(cand, {(2, 1): 1, (3, 1): 1, (0, 1): 1})
     assert minimal_curve_m(cand, inc) == Fraction(27, 5)

@@ -6,7 +6,8 @@ Runs ``qhpp verify --all``, ``qhpp enumerate --pipeline P --format F`` for
 every pipeline P and every format F, the noA2 scan at the benchmark's cap of
 2000 as JSON, and a fixed set of single requests (``cf-info``,
 ``candidate``, ``gram``, three ``gram`` edge errors, ``dioph``, a
-``dioph`` input error, a usage error and ``--help``), each in a fresh interpreter on the ``src/`` of CHECKOUT
+``dioph`` input error, a chain whose order passes its bound, a usage error
+and ``--help``), each in a fresh interpreter on the ``src/`` of CHECKOUT
 (default: the checkout holding this script), with the bundled reference
 tables and an 80-column terminal width.  ``api.txt`` lists the sorted ``__all__`` of ``qhpp`` and
 of each of its modules.  Each file holds the command's stdout, then its
@@ -29,6 +30,8 @@ REQUESTS = {
     "cf-info-text.txt": ["cf-info", "19/9"],
     "cf-info-json.txt": ["cf-info", "[3,2,2]", "--format", "json"],
     "cf-info-long-json.txt": ["cf-info", "[3,2,2,2,2,2,2,2,2]", "--format", "json"],
+    # 300 entries 3: an order of 126 digits, past hjcf.ORDER_DIGIT_LIMIT
+    "cf-info-order-limit.txt": ["cf-info", "[" + ",".join(["3"] * 300) + "]"],
     "candidate.txt": ["candidate", "--sings", "[2],[2,2],[7],[13]"],
     "gram-negative-diag.txt": ["gram", "--diag", "-1,-2,-3,-5", "--edges", "1-2,1-3,1-4"],
     "gram-edge-out-of-range.txt": ["gram", "--diag", "-1,-2", "--edges", "1-5"],
