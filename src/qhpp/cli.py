@@ -188,10 +188,9 @@ def _cmd_verify(args) -> int:
             tuple(cfg["diag"]), {tuple(e): 1 for e in map(tuple, cfg["edges"])}
         )
         det = gram_determinant(g)
-        want_abs = cfg.get("abs_det")
-        good = det == cfg["det"] if "det" in cfg else abs(det) == want_abs
-        if not good:
-            print(f"MISMATCH gram {cfg['name']}: det {det}")
+        key, got = ("det", det) if "det" in cfg else ("abs_det", abs(det))
+        if got != cfg[key]:
+            print(f"MISMATCH gram {cfg['name']}: {key} computed {got}, fixture {cfg[key]}")
             gram_ok = False
     if gram_ok:
         print("OK       gram determinants: all reference configurations")

@@ -503,47 +503,49 @@ def small_q_pipeline() -> PipelineReport:
 # ---------------------------------------------------------------------------
 
 
-def _no_linear_solution(cand: SurfaceCandidate, m_values: list, targets: list) -> dict | None:
+def _agg_cells(agg: list) -> dict:
+    """The one-variable-per-chain coefficients and solutions at each target."""
+    return {
+        "agg_coeffs": [format_rational(c) for c in agg[0][0].coeffs],
+        "agg_solutions": [[list(s) for s in sols] for _, sols in agg],
+    }
+
+
+def _no_linear_solution(cand: SurfaceCandidate, m_values: list, targets: list, agg: list) -> dict | None:
     """Closes a case when the degree equation with one variable per chain has
     no solution at any target."""
-    probs = [aggregated_problem(cand, t)[0] for t in targets]
-    sols = [[list(s) for s in solve_dioph(prob)] for prob in probs]
-    coeffs = [format_rational(c) for c in probs[0].coeffs]
-    return None if any(sols) else {"agg_coeffs": coeffs, "agg_solutions": sols}
+    return None if any(sols for _, sols in agg) else _agg_cells(agg)
 
 
-def _no_component_solution(cand: SurfaceCandidate, m_values: list, targets: list) -> dict | None:
+def _no_component_solution(cand: SurfaceCandidate, m_values: list, targets: list, agg: list) -> dict | None:
     """Closes a case when the degree equation over every curve has no
     solution at any target."""
     sols = [[list(s) for s in solve_dioph(component_problem(cand, t)[0])] for t in targets]
     return None if any(sols) else {"component_solutions": sols}
 
 
-def _quadratic_filter(cand: SurfaceCandidate, m_values: list, targets: list) -> dict | None:
-    """Closes a one-m case when no solution of the one-variable-per-chain
-    equation, nor the equation over every curve, is realized by curves under
-    the quadratic bound 1 + m^2 K^2/D'."""
+def _quadratic_filter(cand: SurfaceCandidate, m_values: list, targets: list, agg: list) -> dict | None:
+    """Closes a one-m case when no curves under the quadratic bound
+    1 + m^2 K^2/D' solve the equation over every curve.  Then no solution of
+    the one-variable-per-chain equation is realized either: fixing each
+    chain's sum to it only adds constraints to that same bounded search."""
     if len(m_values) != 1:
         return None
     (target,), (m,) = targets, m_values
     quad_bound = 1 + Fraction(m * m) / cand.d_prime * cand.ks2
-    agg, agg_labels = aggregated_problem(cand, target)
-    agg_sols = solve_dioph(agg)
-    groups = [{p: agg.coeffs[i] * sol[i] for i, p in enumerate(agg_labels)} for sol in agg_sols]
-    if any(solve_dioph(component_problem(cand, target, quad_bound, g)[0]) for g in (*groups, None)):
+    if solve_dioph(component_problem(cand, target, quad_bound)[0]):
         return None
     return {
         "quad_bound": format_rational(quad_bound),
-        "agg_coeffs": [format_rational(c) for c in agg.coeffs],
-        "agg_solutions": [[list(s) for s in agg_sols]],
+        **_agg_cells(agg),
         "surviving_realizations": 0,
     }
 
 
-# the rules that may close an l11 case with some m, weakest first; each
-# returns its cells when it closes the case, else None, and looks up the
-# builders and the solver in this module when called, so that a tracer's
-# wrappers are the ones it calls
+# the rules that may close an l11 case with some m, weakest first; each takes
+# the (problem, solutions) pair of the one-variable-per-chain equation at each
+# target too, returns its cells when it closes the case, else None, and looks
+# up the builders and the solver in this module when called (for a tracer)
 _L11_RULES = (
     ("no_linear_solution", _no_linear_solution),
     ("no_component_solution", _no_component_solution),
@@ -603,8 +605,9 @@ def l11_rationality_checks() -> PipelineReport:
             targets = [1 + Fraction(m) / sqrt_dp * cand.ks2 for m in m_values]
             result["targets"] = [format_rational(t) for t in targets]
             _expect(report, label, "targets", result["targets"], case.get("targets"))
+            agg = [(p, solve_dioph(p)) for p in (aggregated_problem(cand, t)[0] for t in targets)]
             for rule, closes in _L11_RULES:
-                if (cells := closes(cand, m_values, targets)) is not None:
+                if (cells := closes(cand, m_values, targets, agg)) is not None:
                     break
             else:
                 rule, cells = None, {}

@@ -48,7 +48,9 @@ SCHEMA = {
         "rules": {"A": object, "B": object, "C": object, "residual": object},
         "case15": _SWEEP, "case23": _SWEEP, "case24": {"L": object, "required": object},
     },
-    "gram": [{"name": object, "diag": [int], "edges": [(int, int)]}],
+    "gram": [{
+        "name": object, "diag": [int], "edges": [(int, int)], "det?": int, "abs_det?": int,
+    }],
     "coeff_tables": {"*": {"sings": [_CHAIN], "coeffs": [[_RATIONAL]], "quad?": [[_RATIONAL]]}},
     "noA2_examples": [{"q": object, "cf": _CHAIN, "third": _CHAIN, "D": object}],
 }
@@ -111,8 +113,10 @@ def _check_schema(data, where: str) -> None:
 
 def _check_rows(data: dict, where: str) -> None:
     """Raise ValueError naming the file and the dotted path of an l11 case
-    or a step6 case that names a row its table lacks, or of a gram edge
-    that names a vertex its diagonal lacks or joins a vertex to itself."""
+    or a step6 case that names a row its table lacks, of a gram edge that
+    names a vertex its diagonal lacks, joins a vertex to itself or repeats
+    an earlier pair, or of a gram entry without exactly one of det and
+    abs_det."""
     named = [(f"l11_cases[{i}].row", case["row"], "q20") for i, case in enumerate(data["l11_cases"])]
     named += [
         (f"step6.{key}", int(key[4:]), "table1")
@@ -123,6 +127,9 @@ def _check_rows(data: dict, where: str) -> None:
         if no not in {row["no"] for row in data[table]["rows"]}:
             raise ValueError(f"{where}: {path} names row {no}, which {table}.rows lacks")
     for i, cfg in enumerate(data["gram"]):
+        if ("det" in cfg) == ("abs_det" in cfg):
+            raise ValueError(f"{where}: gram[{i}] must give exactly one of det and abs_det")
+        pairs = set()
         for k, (a, b) in enumerate(cfg["edges"]):
             path = f"{where}: gram[{i}].edges[{k}]"
             for end in (a, b):
@@ -130,6 +137,9 @@ def _check_rows(data: dict, where: str) -> None:
                     raise ValueError(f"{path} names vertex {end}, which gram[{i}].diag lacks")
             if a == b:
                 raise ValueError(f"{path} joins vertex {a} to itself")
+            if (pair := (min(a, b), max(a, b))) in pairs:
+                raise ValueError(f"{path} repeats an earlier pair")
+            pairs.add(pair)
 
 
 @lru_cache(maxsize=4)

@@ -266,9 +266,10 @@ class DiophProblem:
 
 
 # Search nodes solve_dioph may visit, and solutions it may keep after the
-# group and quadratic filters, before it gives up.  The largest problem the
-# pipelines build has 410 leaves, and none keeps more than 150 solutions; a
-# problem past either budget gets an error, never a shortened solution list.
+# group and quadratic filters, before it gives up.  The largest problem
+# qhpp builds for itself, in the property suites, has 410 leaves and keeps
+# 150 solutions; the pipelines' largest has 87 leaves.  A problem past
+# either budget gets an error, never a shortened solution list.
 DFS_NODE_BUDGET = 2_000_000
 SOLUTION_BUDGET = 100_000
 
@@ -342,12 +343,10 @@ def solve_dioph(problem: DiophProblem) -> list[tuple[int, ...]]:
 
 
 def component_problem(
-    cand: SurfaceCandidate,
-    target: Fraction,
-    with_quad_bound: Fraction | None = None,
-    group_sums: dict[int, Fraction] | None = None,
+    cand: SurfaceCandidate, target: Fraction, with_quad_bound: Fraction | None = None
 ) -> tuple[DiophProblem, list[tuple[int, int]]]:
-    """Full-granularity degree equation over every positive-coefficient curve.
+    """Full-granularity degree equation over every positive-coefficient curve,
+    with the quadratic filter when a bound is given.
 
     Returns the problem plus the (sing index, 1-based position) label of each
     variable.  Curves with coefficient zero cannot contribute to the degree
@@ -357,21 +356,15 @@ def component_problem(
     coeffs: list[Fraction] = []
     quads: list[Fraction] = []
     labels: list[tuple[int, int]] = []
-    groups: list[tuple[tuple[int, ...], Fraction]] = []
     for p, sing in enumerate(cand.sings):
-        members = []
         for j, num in enumerate(sing.coeff_nums, 1):
             if num > 0:
-                members.append(len(coeffs))
                 coeffs.append(Fraction(num, sing.q))
                 quads.append(Fraction(sing.cf.v_seq[j] * sing.cf.u_seq[j], sing.q))
                 labels.append((p, j))
-        if group_sums is not None and p in group_sums:
-            groups.append((tuple(members), group_sums[p]))
     problem = DiophProblem(
         coeffs=tuple(coeffs),
         target=target,
-        group_constraints=tuple(groups),
         quad_coeffs=tuple(quads) if with_quad_bound is not None else None,
         quad_bound=with_quad_bound,
     )

@@ -449,6 +449,8 @@ def test_fixture_file_without_a_table_is_input_error(capsys, tables, drop, first
         ("noA2_examples", 5, "noA2_examples must be a JSON array, got number"),
         ("step6", {}, "reference tables lack the key 'step6.rules'"),
         ("q20", {}, "reference tables lack the key 'q20.stage_counts'"),
+        ("gram", [{"name": "x", "diag": [-1], "edges": []}],
+         "gram[0] must give exactly one of det and abs_det"),
     ],
 )
 def test_fixture_table_of_the_wrong_shape_is_input_error(capsys, tables, table, value, message):
@@ -476,6 +478,9 @@ def test_fixture_table_of_the_wrong_shape_is_input_error(capsys, tables, table, 
          "invalid literal for int() with base 10: 'x'"),
         (("coeff_tables", "l11_case3", "quad", 1, 0), "2/0",
          "coeff_tables.l11_case3.quad[1][0] is not a rational: zero denominator in '2/0'"),
+        (("gram", 0, "det"), "-1", "gram[0].det must be a JSON integer, got string"),
+        (("gram", 1, "abs_det"), 1.5, "gram[1].abs_det must be a JSON integer, got number"),
+        (("gram", 1, "det"), 13, "gram[1] must give exactly one of det and abs_det"),
     ],
 )
 def test_nested_fixture_value_of_the_wrong_shape_is_input_error(
@@ -485,6 +490,21 @@ def test_nested_fixture_value_of_the_wrong_shape_is_input_error(
     code, out, err = run(capsys, "verify", "--all")
     assert code == 2 and out == ""
     assert err == f"error: {tables}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    ("index", "key", "value", "line"),
+    [
+        (0, "det", -2, "MISMATCH gram star_2_3_5: det computed -1, fixture -2"),
+        (1, "abs_det", 14, "MISMATCH gram order5_pair_hit_minus2: abs_det computed 13, fixture 14"),
+    ],
+)
+def test_gram_mismatch_names_both_sides(capsys, tables, index, key, value, line):
+    write_edited_tables(tables, ("gram", index, key), value)
+    code, out, _ = run(capsys, "verify", "--all")
+    assert code == 1
+    assert f"\n{line}\n" in out
+    assert "gram determinants" not in out
 
 
 @pytest.mark.parametrize(
@@ -515,6 +535,10 @@ def test_coefficient_table_short_of_rows_fails(capsys, tables, table, rows, keep
         ("step5", ("gram", 0, "edges", 0), [0, 99],
          "gram[0].edges[0] names vertex 99, which gram[0].diag lacks"),
         ("step5", ("gram", 0, "edges", 0), [1, 1], "gram[0].edges[0] joins vertex 1 to itself"),
+        ("step5", ("gram", 0, "edges"), [[0, 1], [1, 0]],
+         "gram[0].edges[1] repeats an earlier pair"),
+        ("step5", ("gram", 0, "edges"), [[0, 1], [0, 1]],
+         "gram[0].edges[1] repeats an earlier pair"),
     ],
 )
 def test_fixture_value_naming_something_absent_is_input_error(

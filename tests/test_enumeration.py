@@ -1,6 +1,7 @@
 """Pipeline tests: families, stage counts, fixture diffing, determinism."""
 
 import json
+import random
 from fractions import Fraction
 from itertools import product
 from math import comb, gcd
@@ -21,6 +22,8 @@ from qhpp.enumeration import (
 )
 from qhpp.fixtures import load_fixtures
 from qhpp.hjcf import parse_cf
+from qhpp.obstruction import DiophProblem, aggregated_problem, solve_dioph
+from qhpp.ratio import format_rational, rational_sqrt
 from qhpp.surface import candidate_invariants, dp_data
 
 # ---------------------------------------------------------------------------
@@ -265,8 +268,85 @@ def test_l11_calls_the_builders_through_the_module(monkeypatch):
     assert (got.survivors, got.mismatches, got.stages) == (
         want.survivors, want.mismatches, want.stages,
     )
-    assert calls.count("aggregated_problem") == 5
-    assert calls.count("component_problem") == 7
+    # one aggregated problem per target of cases 1, 3 and 4; the component
+    # equation for cases 3 and 4, and its quadratic filter for case 3
+    assert calls.count("aggregated_problem") == 4
+    assert calls.count("component_problem") == 4
+
+
+def test_l11_solves_each_problem_once(monkeypatch):
+    problems = []
+    real = enumeration.solve_dioph
+
+    def wrapper(problem):
+        problems.append(problem)
+        return real(problem)
+
+    monkeypatch.setattr(enumeration, "solve_dioph", wrapper)
+    assert l11_rationality_checks().matches_fixture
+    assert len(set(problems)) == len(problems) == 8
+    assert not any(p.group_constraints for p in problems)
+
+
+def _grouped_component_problem(cand, target, quad_bound, group_sums):
+    """The component problem with the quadratic filter, and with each
+    chain's sum fixed where ``group_sums`` (sing index -> sum) says so."""
+    coeffs, quads, groups = [], [], []
+    for p, sing in enumerate(cand.sings):
+        members = []
+        for j, num in enumerate(sing.coeff_nums, 1):
+            if num > 0:
+                members.append(len(coeffs))
+                coeffs.append(Fraction(num, sing.q))
+                quads.append(Fraction(sing.cf.v_seq[j] * sing.cf.u_seq[j], sing.q))
+        if group_sums is not None and p in group_sums:
+            groups.append((tuple(members), group_sums[p]))
+    return DiophProblem(tuple(coeffs), target, tuple(groups), tuple(quads), quad_bound)
+
+
+def reference_quadratic_filter(cand, m_values, targets):
+    """The former rule: one search per solution of the one-variable-per-chain
+    equation, with each chain's sum fixed to it, then one search without."""
+    if len(m_values) != 1:
+        return None
+    (target,), (m,) = targets, m_values
+    quad_bound = 1 + Fraction(m * m) / cand.d_prime * cand.ks2
+    agg, agg_labels = aggregated_problem(cand, target)
+    agg_sols = solve_dioph(agg)
+    groups = [{p: agg.coeffs[i] * sol[i] for i, p in enumerate(agg_labels)} for sol in agg_sols]
+    if any(solve_dioph(_grouped_component_problem(cand, target, quad_bound, g))
+           for g in (*groups, None)):
+        return None
+    return {
+        "quad_bound": format_rational(quad_bound),
+        "agg_coeffs": [format_rational(c) for c in agg.coeffs],
+        "agg_solutions": [[list(s) for s in agg_sols]],
+        "surviving_realizations": 0,
+    }
+
+
+def test_quadratic_filter_agrees_with_the_grouped_searches():
+    # l11's four candidates at m = 1..3, at their own targets and at seeded
+    # points of the one-variable-per-chain lattice, which have solutions
+    rng = random.Random(2020)
+    rows = {row["no"]: row for row in load_fixtures()["q20"]["rows"]}
+    verdicts = []
+    for case in load_fixtures()["l11_cases"]:
+        cand = candidate_invariants(list(rows[case["row"]]["sings"]), c=case["c"])
+        steps = aggregated_problem(cand, Fraction(1))[0].coeffs
+        sqrt_dp = rational_sqrt(cand.d_prime)
+        for m in (1, 2, 3):
+            targets = [1 + Fraction(m) / sqrt_dp * cand.ks2]
+            while len(targets) < 6:
+                point = sum(step * rng.randrange(int(2 / step) + 1) for step in steps)
+                if 0 < point <= 2:
+                    targets.append(point)
+            for target in targets:
+                agg = [(p, solve_dioph(p)) for p in [aggregated_problem(cand, target)[0]]]
+                got = enumeration._quadratic_filter(cand, [m], [target], agg)
+                assert got == reference_quadratic_filter(cand, [m], [target]), (case["case"], m, target)
+                verdicts.append(got is None)
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 # ---------------------------------------------------------------------------
