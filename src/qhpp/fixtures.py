@@ -35,6 +35,10 @@ _SWEEP = {
 }
 SCHEMA = {
     "table1": {"stage_counts": dict, "rows": [{**_ROW, "orders": object}]},
+    "lemma24": {
+        "sings": [_CHAIN], "ks2": _RATIONAL, "D": _RATIONAL, "L": int, "m_bound": _RATIONAL,
+        "target": _RATIONAL, "coeffs": [_RATIONAL], "solutions": [[int]],
+    },
     "q20": {"stage_counts": dict, "case_tallies": list, "rows": [_Q_ROW], "bmy_rows": list},
     "small_q": {"stage_counts": dict, "rows": [_Q_ROW], "bmy_rows": list},
     "l11_cases": [{

@@ -21,7 +21,6 @@ from typing import Iterable, Iterator
 __all__ = [
     "HjCf",
     "cf_bump",
-    "cf_deleted_det",
     "cf_evaluate",
     "cf_from_pair",
     "cf_mod3_criterion",
@@ -188,27 +187,6 @@ def chain_order(entries: Iterable[int]) -> int:
     for n in entries:
         a, b = b, n * b - a
     return b
-
-
-def cf_deleted_det(cf: HjCf, deleted_indices: Iterable[int]) -> int:
-    """|det| of the intersection matrix with rows/columns deleted.
-
-    ``deleted_indices`` are 1-based positions.  Deleting positions splits the
-    chain into runs, and the determinant is the product of the orders of the
-    runs (the matrix becomes block diagonal); an empty run contributes 1.
-    """
-    deleted = set(deleted_indices)
-    if not all(1 <= i <= cf.l for i in deleted):
-        raise ValueError(f"deleted positions {sorted(deleted)} out of range 1..{cf.l}")
-    det = 1
-    run: list[int] = []
-    for pos, n in enumerate(cf.entries, start=1):
-        if pos in deleted:
-            det *= chain_order(run)
-            run = []
-        else:
-            run.append(n)
-    return det * chain_order(run)
 
 
 def cf_bump(cf: HjCf, j: int) -> int:

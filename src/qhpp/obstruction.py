@@ -265,11 +265,13 @@ class DiophProblem:
             raise ValueError("quad_bound given without quad_coeffs")
 
 
-# Search nodes solve_dioph may visit, and solutions it may keep after the
-# group and quadratic filters, before it gives up.  The largest problem
-# qhpp builds for itself, in the property suites, has 410 leaves and keeps
-# 150 solutions; the pipelines' largest has 87 leaves.  A problem past
-# either budget gets an error, never a shortened solution list.
+# Search nodes solve_dioph may count, and solutions it may keep after the
+# group and quadratic filters, before it gives up.  A node is one of the
+# plain depth-first search over every variable, leaves included; the leaves
+# of the last variable are counted, not visited.  The largest problem qhpp
+# builds for itself, in the property suites, has 410 leaves and keeps 150
+# solutions; the pipelines' largest has 87 leaves.  A problem past either
+# budget gets an error, never a shortened solution list.
 DFS_NODE_BUDGET = 2_000_000
 SOLUTION_BUDGET = 100_000
 
@@ -280,15 +282,23 @@ def _over_lcm(values: list[Fraction]) -> list[int]:
     return [x.numerator * (den // x.denominator) for x in values]
 
 
+def _over_node_budget() -> ValueError:
+    return ValueError(f"Diophantine search exceeds its budget of {DFS_NODE_BUDGET:,} nodes")
+
+
 def solve_dioph(problem: DiophProblem) -> list[tuple[int, ...]]:
     """The complete, lexicographically sorted solution list.
 
     Enumeration is a depth-first search in integers: one lcm clears the
     target, the coefficients and the group sums, another the quadratic
     coefficients and their bound, and each leaf is filtered as it is found.
-    An empty list is a normal outcome.  Raises ValueError when the search
-    would visit more than DFS_NODE_BUDGET nodes or keep more than
-    SOLUTION_BUDGET solutions.
+    The last two variables are solved by one congruence: with a x + m y = r
+    left, g = gcd(a, m) and p = m/g, x completes exactly when g divides r
+    and x = (r/g) (a/g)^-1 mod p, so only those x are visited.  The node
+    count is still that of the plain search, which visits every x from 0 to
+    r // a as a leaf.  An empty list is a normal outcome.  Raises ValueError
+    when the search would count more than DFS_NODE_BUDGET nodes or keep more
+    than SOLUTION_BUDGET solutions.
     """
     n, constraints = len(problem.coeffs), problem.group_constraints
     target, *ints = _over_lcm(
@@ -301,37 +311,55 @@ def solve_dioph(problem: DiophProblem) -> list[tuple[int, ...]]:
     quads = None
     if problem.quad_coeffs is not None:
         quad_bound, *quads = _over_lcm([problem.quad_bound, *problem.quad_coeffs])
+    # a x + m y completes the last two variables (n = 1 has only m)
+    a, m = cleared[-2:] if n > 1 else (1, cleared[0])
+    g = gcd(a, m)
+    p = m // g
+    inv = pow(a // g, -1, p)
     solutions: list[tuple[int, ...]] = []
     vec = [0] * n
     nodes = 0
+
+    def keep() -> None:
+        """Keep vec, which solves the equation, if it passes the filters."""
+        if groups and any(
+            sum(cleared[k] * vec[k] for k in idx) != exact for idx, exact in groups
+        ):
+            return
+        if quads is not None and sum(b * x * x for b, x in zip(quads, vec)) > quad_bound:
+            return
+        if len(solutions) == SOLUTION_BUDGET:
+            raise ValueError(
+                f"Diophantine problem has more than {SOLUTION_BUDGET:,} solutions"
+            )
+        solutions.append(tuple(vec))
 
     def dfs(i: int, remaining: int) -> None:
         nonlocal nodes
         nodes += 1
         if nodes > DFS_NODE_BUDGET:
-            raise ValueError(
-                f"Diophantine search exceeds its budget of {DFS_NODE_BUDGET:,} nodes"
-            )
-        if i == n - 1:
-            if remaining % cleared[i]:
-                return
-            vec[i] = remaining // cleared[i]
-            if groups and any(
-                sum(cleared[k] * vec[k] for k in idx) != exact for idx, exact in groups
-            ):
-                return
-            if quads is not None and sum(b * x * x for b, x in zip(quads, vec)) > quad_bound:
-                return
-            if len(solutions) == SOLUTION_BUDGET:
-                raise ValueError(
-                    f"Diophantine problem has more than {SOLUTION_BUDGET:,} solutions"
-                )
-            solutions.append(tuple(vec))
-            return
-        step = cleared[i]
-        for x in range(remaining // step + 1):
-            vec[i] = x
-            dfs(i + 1, remaining - x * step)
+            raise _over_node_budget()
+        if i == n - 2:
+            # x = 0 .. last are the plain search's next last + 1 nodes, its
+            # leaves, so a completing leaf past the budget is never kept
+            last = remaining // a
+            nodes += last + 1
+            over = nodes - DFS_NODE_BUDGET
+            if remaining % g == 0:
+                for x in range(remaining // g * inv % p, last + 1 - max(over, 0), p):
+                    vec[i] = x
+                    vec[-1] = (remaining - x * a) // m
+                    keep()
+            if over > 0:
+                raise _over_node_budget()
+        elif i < n - 2:
+            step = cleared[i]
+            for x in range(remaining // step + 1):
+                vec[i] = x
+                dfs(i + 1, remaining - x * step)
+        elif remaining % m == 0:  # the single leaf of n = 1
+            vec[i] = remaining // m
+            keep()
 
     dfs(0, target)
     return solutions

@@ -207,6 +207,26 @@ def test_dioph_over_budget_is_input_error(capsys):
     assert err == "error: Diophantine search exceeds its budget of 2,000,000 nodes\n"
 
 
+def test_dioph_two_variables_past_a_million_leaves(capsys):
+    # the plain search has 1,000,002 nodes, inside the budget; the
+    # congruence visits two of its leaves
+    code, out, err = run(
+        capsys, "dioph", "--coeffs", "1/1000000,1/1000001", "--target", "1"
+    )
+    assert (code, err) == (0, "")
+    assert out == "[[0,1000001],[1000000,0]]\n"
+
+
+def test_dioph_two_variables_past_the_node_budget_is_input_error(capsys):
+    # 3,000,002 nodes of the plain search, though only two leaves complete:
+    # the budget counts the leaves the congruence skips
+    code, out, err = run(
+        capsys, "dioph", "--coeffs", "1/3000000,1/3000001", "--target", "1"
+    )
+    assert code == 2 and out == ""
+    assert err == "error: Diophantine search exceeds its budget of 2,000,000 nodes\n"
+
+
 @pytest.mark.parametrize("den", [300, 200])
 def test_dioph_past_its_solution_budget_is_input_error(capsys, den):
     # every leaf is a solution: C(den + 3, 3) of them, 4.6M and 1.37M
@@ -451,6 +471,7 @@ def test_fixture_file_without_a_table_is_input_error(capsys, tables, drop, first
         ("q20", {}, "reference tables lack the key 'q20.stage_counts'"),
         ("gram", [{"name": "x", "diag": [-1], "edges": []}],
          "gram[0] must give exactly one of det and abs_det"),
+        ("lemma24", "garbage", "lemma24 must be a JSON object, got string"),
     ],
 )
 def test_fixture_table_of_the_wrong_shape_is_input_error(capsys, tables, table, value, message):
@@ -481,6 +502,8 @@ def test_fixture_table_of_the_wrong_shape_is_input_error(capsys, tables, table, 
         (("gram", 0, "det"), "-1", "gram[0].det must be a JSON integer, got string"),
         (("gram", 1, "abs_det"), 1.5, "gram[1].abs_det must be a JSON integer, got number"),
         (("gram", 1, "det"), 13, "gram[1] must give exactly one of det and abs_det"),
+        (("lemma24", "target"), "1/0",
+         "lemma24.target is not a rational: zero denominator in '1/0'"),
     ],
 )
 def test_nested_fixture_value_of_the_wrong_shape_is_input_error(

@@ -14,7 +14,6 @@ from qhpp.hjcf import (
     _chain_shape,
     _dual_pairs,
     cf_bump,
-    cf_deleted_det,
     cf_evaluate,
     cf_from_pair,
     cf_mod3_criterion,
@@ -27,6 +26,27 @@ from qhpp.hjcf import (
 # ---------------------------------------------------------------------------
 # oracles (kept independent of the implementation under test)
 # ---------------------------------------------------------------------------
+
+
+def cf_deleted_det(cf, deleted_indices):
+    """|det| of the intersection matrix with rows/columns deleted.
+
+    ``deleted_indices`` are 1-based positions.  Deleting positions splits the
+    chain into runs, and the determinant is the product of the orders of the
+    runs (the matrix becomes block diagonal); an empty run contributes 1.
+    """
+    deleted = set(deleted_indices)
+    if not all(1 <= i <= cf.l for i in deleted):
+        raise ValueError(f"deleted positions {sorted(deleted)} out of range 1..{cf.l}")
+    det = 1
+    run = []
+    for pos, n in enumerate(cf.entries, start=1):
+        if pos in deleted:
+            det *= chain_order(run)
+            run = []
+        else:
+            run.append(n)
+    return det * chain_order(run)
 
 
 def eval_oracle(entries):

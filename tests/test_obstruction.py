@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import lcm, prod
 
 import pytest
 
@@ -331,6 +332,146 @@ def test_solve_dioph_matches_oracle_random():
         target = Fraction(rng.randint(0, 8), rng.randint(1, 3))
         prob = DiophProblem(coeffs, target)
         assert solve_dioph(prob) == sorted(brute_force(prob))
+
+
+def reference_budgeted_solve_dioph(problem):
+    """The plain depth-first search the solver replaced, verbatim but for
+    reading both budgets from the module at call time: it visits every
+    value of every variable, the last one included, as a node."""
+    DFS_NODE_BUDGET = obstruction.DFS_NODE_BUDGET
+    SOLUTION_BUDGET = obstruction.SOLUTION_BUDGET
+
+    def _over_lcm(values):
+        den = lcm(*(x.denominator for x in values))
+        return [x.numerator * (den // x.denominator) for x in values]
+
+    n, constraints = len(problem.coeffs), problem.group_constraints
+    target, *ints = _over_lcm(
+        [problem.target, *problem.coeffs, *(exact for _, exact in constraints)]
+    )
+    if target < 0:
+        return []
+    cleared = ints[:n]
+    groups = [(idx, exact) for (idx, _), exact in zip(constraints, ints[n:])]
+    quads = None
+    if problem.quad_coeffs is not None:
+        quad_bound, *quads = _over_lcm([problem.quad_bound, *problem.quad_coeffs])
+    solutions = []
+    vec = [0] * n
+    nodes = 0
+
+    def dfs(i, remaining):
+        nonlocal nodes
+        nodes += 1
+        if nodes > DFS_NODE_BUDGET:
+            raise ValueError(
+                f"Diophantine search exceeds its budget of {DFS_NODE_BUDGET:,} nodes"
+            )
+        if i == n - 1:
+            if remaining % cleared[i]:
+                return
+            vec[i] = remaining // cleared[i]
+            if groups and any(
+                sum(cleared[k] * vec[k] for k in idx) != exact for idx, exact in groups
+            ):
+                return
+            if quads is not None and sum(b * x * x for b, x in zip(quads, vec)) > quad_bound:
+                return
+            if len(solutions) == SOLUTION_BUDGET:
+                raise ValueError(
+                    f"Diophantine problem has more than {SOLUTION_BUDGET:,} solutions"
+                )
+            solutions.append(tuple(vec))
+            return
+        step = cleared[i]
+        for x in range(remaining // step + 1):
+            vec[i] = x
+            dfs(i + 1, remaining - x * step)
+
+    dfs(0, target)
+    return solutions
+
+
+def outcome(solve, problem):
+    """The solution list, or the text of the ValueError the solve raises."""
+    try:
+        return solve(problem)
+    except ValueError as exc:
+        return str(exc)
+
+
+def random_problem(rng):
+    """n = 1..6 positive coefficients; a target on the lattice (a random
+    point's degree) or off it, drawn again while the plain search would have
+    more than 2,000 leaves; about a third of the problems with one or two
+    group sums, about a third with a quadratic bound."""
+    n = rng.randint(1, 6)
+    coeffs = tuple(Fraction(rng.randint(1, 6), rng.randint(1, 4)) for _ in range(n))
+    leaves = 2_001
+    while leaves > 2_000:
+        point = [rng.randint(0, 3) for _ in range(n)]
+        if rng.random() < 0.7:
+            target = sum((c * x for c, x in zip(coeffs, point)), start=Fraction(0))
+        else:
+            target = Fraction(rng.randint(-1, 12), rng.randint(1, 7))
+        leaves = prod(max(0, int(target / c)) + 1 for c in coeffs[:-1])
+    groups = []
+    if n > 1 and rng.random() < 0.35:
+        for _ in range(rng.randint(1, 2)):
+            idx = tuple(sorted(rng.sample(range(n), rng.randint(1, n - 1))))
+            exact = sum((coeffs[k] * point[k] for k in idx), start=Fraction(0))
+            groups.append((idx, exact + rng.choice((0, 0, 0, Fraction(1, 2)))))
+    quad = {}
+    if rng.random() < 0.35:
+        quads = tuple(Fraction(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(n))
+        full = sum((b * x * x for b, x in zip(quads, point)), start=Fraction(0))
+        quad = {"quad_coeffs": quads, "quad_bound": full + rng.randint(-2, 3)}
+    return DiophProblem(coeffs, target, group_constraints=tuple(groups), **quad)
+
+
+NODE_BUDGETS = (0, 1, 2, 3, 5, 8, 13, 50, 400)
+SOLUTION_BUDGETS = (0, 1, 2, 3, 10)
+
+
+def test_solve_dioph_matches_the_plain_search(monkeypatch):
+    # every pair of small budgets in turn, so that the node and the solution
+    # budget race, and the full budgets for every problem
+    rng = random.Random(21)
+    pairs = list(product(NODE_BUDGETS, SOLUTION_BUDGETS))
+    solved = raised = 0
+    for k in range(5_000):
+        problem = random_problem(rng)
+        monkeypatch.setattr(obstruction, "DFS_NODE_BUDGET", 2_000_000)
+        monkeypatch.setattr(obstruction, "SOLUTION_BUDGET", 100_000)
+        want = outcome(reference_budgeted_solve_dioph, problem)
+        assert outcome(solve_dioph, problem) == want, problem
+        solved += bool(want)
+        nodes, kept = pairs[k % len(pairs)]
+        monkeypatch.setattr(obstruction, "DFS_NODE_BUDGET", nodes)
+        monkeypatch.setattr(obstruction, "SOLUTION_BUDGET", kept)
+        want = outcome(reference_budgeted_solve_dioph, problem)
+        assert outcome(solve_dioph, problem) == want, (problem, nodes, kept)
+        raised += isinstance(want, str)
+    # the corpus is not degenerate: many problems solve, many hit a budget
+    assert solved > 1_000 and raised > 1_000
+
+
+def test_solve_dioph_under_every_node_budget(monkeypatch):
+    # n <= 3, coefficients 1..3, targets 0..9: every node budget from 0 up to
+    # the plain search's full count + 1
+    for n in (1, 2, 3):
+        for coeffs in product((1, 2, 3), repeat=n):
+            for target in range(10):
+                problem = DiophProblem(tuple(map(Fraction, coeffs)), Fraction(target))
+                full = None
+                budget = 0
+                while full is None or budget <= full + 1:
+                    monkeypatch.setattr(obstruction, "DFS_NODE_BUDGET", budget)
+                    want = outcome(reference_budgeted_solve_dioph, problem)
+                    assert outcome(solve_dioph, problem) == want, (problem, budget)
+                    if full is None and not isinstance(want, str):
+                        full = budget
+                    budget += 1
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ Runs ``qhpp verify --all``, ``qhpp enumerate --pipeline P --format F`` for
 every pipeline P and every format F, the noA2 scan at the benchmark's cap of
 2000 as JSON, and a fixed set of single requests (``cf-info``,
 ``candidate``, ``gram``, three ``gram`` edge errors, ``dioph``, a
+two-variable ``dioph`` of a million leaves, one past the node budget, a
 ``dioph`` input error, a chain whose order passes its bound, a usage error
 and ``--help``), each in a fresh interpreter on the ``src/`` of CHECKOUT
 (default: the checkout holding this script), with the bundled reference
@@ -46,6 +47,9 @@ REQUESTS = {
         "dioph", "--coeffs", "1/40,1/30,1/24", "--target", "1",
         "--quad", "1/40,1/30,1/24", "--quad-bound", "16",
     ],
+    # the plain search has 1,000,002 nodes, and two of its leaves complete
+    "dioph-two-variables.txt": ["dioph", "--coeffs", "1/1000000,1/1000001", "--target", "1"],
+    "dioph-node-budget.txt": ["dioph", "--coeffs", "1/300,1/300,1/300,1/301", "--target", "1"],
     "dioph-zero-denominator.txt": ["dioph", "--coeffs", "1/0", "--target", "1"],
     "enumerate-noA2-cap2000-json.txt": [
         "enumerate", "--pipeline", "noA2", "--cap", "2000", "--format", "json",
