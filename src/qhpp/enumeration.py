@@ -14,6 +14,7 @@ reports.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
@@ -38,7 +39,14 @@ from .obstruction import (
     solve_dioph,
 )
 from .ratio import format_rational, is_positive_square, rational_sqrt
-from .surface import SurfaceCandidate, candidate_invariants, candidate_to_dict, dp_data
+from .surface import (
+    CyclicSing,
+    SurfaceCandidate,
+    _det_and_d,
+    candidate_invariants,
+    candidate_to_dict,
+    dp_data,
+)
 
 __all__ = [
     "OrderTupleFamily",
@@ -150,23 +158,37 @@ def _diff_rows(
 def _scan(
     label: str,
     fixture: dict,
-    cases: list[list[HjCf]],
+    cases: Iterable[Sequence[HjCf]],
     first: str,
     bmy: bool = False,
     extras: tuple[tuple[str, object, object], ...] = (),
 ) -> PipelineReport:
-    """Shared engine of the candidate scans: invariants of every case, the
-    square-D filter, optionally the BMY filter, then the fixture diff.
+    """Shared engine of the candidate scans: D of every case, the square-D
+    filter, optionally the BMY filter, then the fixture diff.
+
+    ``cases`` is any iterable of chain lists, counted as it is consumed.  D
+    is tested in integers from each chain's ``dp_data`` record, fetched once
+    per distinct chain in the scan, so that only a case whose D is a
+    positive square becomes a candidate.
 
     Mismatches come in a fixed order: stage counts, the ``(what, got, want)``
     extras, the row diff, and the BMY rows.
     """
     report = PipelineReport(label)
-    cands = [candidate_invariants(case) for case in cases]
-    square = {
-        _chains_key(case): c for case, c in zip(cases, cands) if is_positive_square(c.D)
-    }
-    report.stages = [(first, len(cases)), ("D_square", len(square))]
+    records: dict[tuple[int, ...], CyclicSing] = {}
+    square: dict[tuple, SurfaceCandidate] = {}
+    n_cases = 0
+    for case in cases:
+        n_cases += 1
+        data = []
+        for cf in case:
+            s = records.get(cf.entries)
+            if s is None:
+                s = records[cf.entries] = dp_data(cf)
+            data.append(s)
+        if is_positive_square(_det_and_d(data)[1]):
+            square[_chains_key(case)] = candidate_invariants(case)
+    report.stages = [(first, n_cases), ("D_square", len(square))]
     if bmy:
         survivors_bmy = {k for k, c in square.items() if c.D <= 3 * c.E}
         report.stages.append(("BMY", len(survivors_bmy)))
@@ -282,18 +304,14 @@ def table1_pipeline() -> PipelineReport:
     the candidates whose discriminant D = det(R) * K^2 is a positive square."""
     families = enumerate_order_tuples()
     bounded = [f for f in families if f.free_max is not None or f.free_min is None]
-    tuples: list[tuple[int, ...]] = []
-    for fam in bounded:
-        tuples.extend(fam.instances(41))
-    tuples.sort()
-
-    combos: list[list[HjCf]] = []
-    per_tuple: dict[str, int] = {}
-    for orders in tuples:
-        classes = [enumerate_cfs_of_order(q) for q in orders]
-        n0 = len(combos)
-        combos.extend(list(cfs) for cfs in product(*classes))
-        per_tuple[str(orders)] = len(combos) - n0
+    tuples = sorted(t for fam in bounded for t in fam.instances(41))
+    classes = {q: enumerate_cfs_of_order(q) for q in set().union(*tuples)}
+    per_tuple = {
+        str(orders): math.prod(len(classes[q]) for q in orders) for orders in tuples
+    }
+    combos = (
+        cfs for orders in tuples for cfs in product(*(classes[q] for q in orders))
+    )
 
     report = _scan("table1", load_fixtures()["table1"], combos, "types")
     report.details["per_tuple_types"] = per_tuple

@@ -26,6 +26,7 @@ D <= 3E, and e_orb >= 0 reads E >= 0.
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -53,14 +54,16 @@ class CyclicSing:
     integer numerators over q.
 
     ``coeff_nums[j - 1]`` is q - u_j - v_j, q times the adjunction
-    coefficient of the j-th curve, and ``dp_dot_k_num`` is q * Dp.K
-    (= -q * Dp^2), the numerator the candidate kernel sums over det R.
+    coefficient of the j-th curve, ``dp_dot_k_num`` is q * Dp.K
+    (= -q * Dp^2), and ``d_term`` is q * Dp.K - l * q, the point's
+    numerator in the kernel's sum for D (see ``_det_and_d``).
     """
 
     cf: HjCf
     q: int
     coeff_nums: tuple[int, ...]
     dp_dot_k_num: int
+    d_term: int
 
     @property
     def l(self) -> int:
@@ -79,9 +82,10 @@ def dp_data(cf: HjCf | str) -> CyclicSing:
     Results are memoised on the entry tuple, whose hash is computed in C,
     not on the chain, whose hash is a Python method; the memo keeps the
     _DP_MEMO_SIZE most recently used records, and a miss keeps the chain it
-    was given.  A `verify --all` run makes 44,752 calls, of which a share of
-    0.119 name a chain not asked for before, and a pass of the six pipelines
-    makes 6,015, 277 of them misses.
+    was given.  A `verify --all` run makes 39,453 calls, of which a share of
+    0.135 name a chain not asked for before, and a pass of the six pipelines
+    makes 716, 277 of them misses: the candidate scans fetch each distinct
+    chain's record once, and build a candidate only for a square D.
     """
     if isinstance(cf, str):
         cf = parse_cf(cf)
@@ -112,7 +116,10 @@ def _dp_record(cf: HjCf) -> CyclicSing:
             f"adjunction data inconsistent for {cf}: "
             f"{Fraction(-dot_k_num, q)} != {Fraction(closed_num, q)}"
         )
-    return CyclicSing(cf=cf, q=q, coeff_nums=nums, dp_dot_k_num=dot_k_num)
+    return CyclicSing(
+        cf=cf, q=q, coeff_nums=nums, dp_dot_k_num=dot_k_num,
+        d_term=dot_k_num - cf.l * q,
+    )
 
 
 @dataclass(frozen=True)
@@ -165,7 +172,7 @@ def candidate_invariants(
     det R / c^2 is an integer, and pairwise coprime orders force c = 1.
 
     With s_p = det R / q_p, the invariants are the integer sums
-    D = (9 - L) det R + sum_p (q_p Dp.K) s_p and
+    D = (9 - L) det R + sum_p (q_p Dp.K) s_p (``_det_and_d``) and
     E = 3 det R - sum_p (det R - s_p) = (3 - n) det R + sum_p s_p for n points.
     """
     data = tuple(map(dp_data, sings))
@@ -173,25 +180,38 @@ def candidate_invariants(
         raise ValueError("a candidate needs at least one singularity")
     if c < 1:
         raise ValueError(f"c must be a positive integer, got {c}")
-    L = 0
-    det_r = 1
-    for s in data:
-        L += len(s.coeff_nums)
-        det_r *= s.q
+    det_r, d = _det_and_d(data)
     if det_r % (c * c) != 0:
         raise ValueError(f"c={c} rejected: c^2 does not divide det R = {det_r}")
-    d = (9 - L) * det_r
+    L = 0
     e = (3 - len(data)) * det_r
     for s in data:
-        share = det_r // s.q
-        d += s.dp_dot_k_num * share
-        e += share
+        L += len(s.coeff_nums)
+        e += det_r // s.q
     cand = SurfaceCandidate(data, c, L, det_r, d, e)
     if c != 1 and cand.pairwise_coprime:
         raise ValueError(
             f"c={c} rejected: pairwise coprime orders {cand.orders} force c=1"
         )
     return cand
+
+
+def _det_and_d(data: Sequence[CyclicSing]) -> tuple[int, int]:
+    """det R and D = det R * K^2 of the points ``data``, in integers.
+
+    The kernel's sum D = (9 - L) det R + sum_p (q_p Dp.K) s_p, regrouped
+    point by point: L det R = sum_p l_p q_p s_p, so D = 9 det R +
+    sum_p w_p s_p with w_p = q_p Dp.K - l_p q_p, the record's ``d_term``.
+    The candidate scans call it on their own records, to test D before they
+    build a candidate.
+    """
+    det_r = 1
+    for s in data:
+        det_r *= s.q
+    d = 9 * det_r
+    for s in data:
+        d += s.d_term * (det_r // s.q)
+    return det_r, d
 
 
 class BmyStatus(enum.Enum):
@@ -279,18 +299,53 @@ class GramConfig:
 # start), and the reference configurations have at most 7 vertices.
 GRAM_SIZE_LIMIT = 100
 
+# Digits the Hadamard bound of a Gram configuration may have.  The worst case
+# is dense: 100 vertices with 9-digit entries (a 979-digit bound) take about
+# 1.0 s, with 19-digit entries (1,979 digits) 3.6 s, and with 42-digit entries
+# (4,279 digits, about the longest integer CPython prints by default) 14 s,
+# on a 2-vCPU host with Python 3.11.
+GRAM_DET_DIGIT_LIMIT = 1_000
+# the square of the least bound with more digits, made once: 10^2000 takes
+# longer to compute than the check of a small configuration
+_HADAMARD_SQ_CEILING = 10 ** (2 * GRAM_DET_DIGIT_LIMIT)
 
-def gram_determinant(cfg: GramConfig) -> int:
-    """Exact determinant via fraction-free (Bareiss) elimination.
 
-    Raises ValueError for a configuration of more than GRAM_SIZE_LIMIT
-    vertices.
+def _gram_matrix(cfg: GramConfig) -> list[list[int]]:
+    """The configuration's matrix, once its input is bounded: at most
+    GRAM_SIZE_LIMIT vertices, edges that ``GramConfig.matrix`` accepts, and a
+    Hadamard bound of at most GRAM_DET_DIGIT_LIMIT digits.  Raises
+    ValueError otherwise.
+
+    The Hadamard bound, the product of the lengths of the nonzero rows, caps
+    |det| and every minor, so every integer that Bareiss elimination makes.
+    It is tested on the squares, in integers, summed from the diagonal and
+    the edges rather than the dense matrix, and the product stops at the
+    first prefix past the limit.
     """
     if cfg.size > GRAM_SIZE_LIMIT:
         raise ValueError(
             f"a Gram configuration has at most {GRAM_SIZE_LIMIT} vertices, got {cfg.size:,}"
         )
     m = cfg.matrix()
+    norms = [d * d for d in cfg.diagonal]
+    for (i, j), w in cfg.off_diagonal.items():
+        norms[i] += w * w
+        norms[j] += w * w
+    bound_sq = 1
+    for norm in norms:
+        bound_sq *= norm or 1
+        if bound_sq >= _HADAMARD_SQ_CEILING:
+            raise ValueError(
+                "a Gram configuration's Hadamard bound on |det| has more than "
+                f"the limit of {GRAM_DET_DIGIT_LIMIT:,} digits"
+            )
+    return m
+
+
+def gram_determinant(cfg: GramConfig) -> int:
+    """Exact determinant via fraction-free (Bareiss) elimination, of the
+    matrix ``_gram_matrix`` bounds (it raises ValueError past its limits)."""
+    m = _gram_matrix(cfg)
     n = len(m)
     if n == 0:
         return 1

@@ -289,6 +289,19 @@ def test_gram_past_its_size_limit_is_input_error(capsys):
     assert err == f"error: a Gram configuration has at most {limit} vertices, got {limit + 1}\n"
 
 
+def test_gram_past_its_hadamard_digit_limit_is_input_error(capsys):
+    # diagonal, so the Hadamard bound is |det|: 10^999 is inside, 10^1000 past
+    limit = surface.GRAM_DET_DIGIT_LIMIT
+    inside = f"-1{'0' * 500},1{'0' * (limit - 501)}"
+    assert run(capsys, "gram", "--diag", inside) == (0, f"-1{'0' * (limit - 1)}\n", "")
+    code, out, err = run(capsys, "gram", "--diag", f"-1{'0' * 500},1{'0' * (limit - 500)}")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: a Gram configuration's Hadamard bound on |det| has more than "
+        f"the limit of {limit:,} digits\n"
+    )
+
+
 @pytest.mark.parametrize(
     ("flags", "message"),
     [
@@ -539,6 +552,23 @@ def test_coefficient_table_short_of_rows_fails(capsys, tables, table, rows, keep
     code, out, _ = run(capsys, "verify", "--all")
     assert code == 1
     assert f"FAIL     property coeff_tables: {table}: 4 sings, {keep} {rows} rows\n" in out
+
+
+@pytest.mark.parametrize(
+    ("diag", "message"),
+    [
+        ([-(10**600), -2, -3, 10**600],
+         "gram[0]: a Gram configuration's Hadamard bound on |det| has more than "
+         "the limit of 1,000 digits"),
+        ([-2] * 101, "gram[0]: a Gram configuration has at most 100 vertices, got 101"),
+    ],
+    ids=["hadamard", "size"],
+)
+def test_fixture_gram_past_its_limits_is_input_error_before_any_output(
+    capsys, tables, diag, message
+):
+    write_edited_tables(tables, ("gram", 0, "diag"), diag)
+    assert run(capsys, "verify", "--all") == (2, "", f"error: {tables}: {message}\n")
 
 
 @pytest.mark.parametrize(

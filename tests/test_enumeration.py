@@ -10,6 +10,10 @@ import pytest
 
 from qhpp import enumeration
 from qhpp.enumeration import (
+    PipelineReport,
+    _chains_key,
+    _diff_rows,
+    _expect,
     enumerate_order_tuples,
     l11_rationality_checks,
     lemma_q20_pipeline,
@@ -21,9 +25,9 @@ from qhpp.enumeration import (
     table1_pipeline,
 )
 from qhpp.fixtures import load_fixtures
-from qhpp.hjcf import parse_cf
+from qhpp.hjcf import HjCf, enumerate_cfs_of_order, parse_cf
 from qhpp.obstruction import DiophProblem, aggregated_problem, solve_dioph
-from qhpp.ratio import format_rational, rational_sqrt
+from qhpp.ratio import format_rational, is_positive_square, rational_sqrt
 from qhpp.surface import candidate_invariants, dp_data
 
 # ---------------------------------------------------------------------------
@@ -229,6 +233,144 @@ def test_scan_counts_a_candidate_on_the_bmy_bound(sings, ks2, det_r):
     assert report.stages == [("cases", 1), ("D_square", 1), ("BMY", 1)]
     assert [(s["cmp"], s["D"], s["three_e_orb"]) for s in report.survivors] == [("<", "81", ks2)]
     assert report.mismatches == []
+
+
+# ---------------------------------------------------------------------------
+# the candidate-per-case scan as the oracle of _scan
+# ---------------------------------------------------------------------------
+
+
+def reference_scan(
+    label: str,
+    fixture: dict,
+    cases: list[list[HjCf]],
+    first: str,
+    bmy: bool = False,
+    extras: tuple[tuple[str, object, object], ...] = (),
+) -> PipelineReport:
+    """Shared engine of the candidate scans: invariants of every case, the
+    square-D filter, optionally the BMY filter, then the fixture diff.
+
+    Mismatches come in a fixed order: stage counts, the ``(what, got, want)``
+    extras, the row diff, and the BMY rows.
+    """
+    report = PipelineReport(label)
+    cands = [candidate_invariants(case) for case in cases]
+    square = {
+        _chains_key(case): c for case, c in zip(cases, cands) if is_positive_square(c.D)
+    }
+    report.stages = [(first, len(cases)), ("D_square", len(square))]
+    if bmy:
+        survivors_bmy = {k for k, c in square.items() if c.D <= 3 * c.E}
+        report.stages.append(("BMY", len(survivors_bmy)))
+    counts = fixture["stage_counts"]
+    for name, count in report.stages:
+        if name in counts:
+            _expect(report, label, f"stage '{name}'", count, counts[name])
+    for what, got, want in extras:
+        _expect(report, label, what, got, want)
+    report.survivors = _diff_rows(square, fixture["rows"], report, label)
+    if bmy:
+        fixture_bmy = {
+            _chains_key([parse_cf(s) for s in row["sings"]])
+            for row in fixture["rows"]
+            if row["no"] in fixture["bmy_rows"]
+        }
+        if survivors_bmy != fixture_bmy:
+            report.mismatches.append(
+                f"{label}: BMY survivors differ from fixture rows {fixture['bmy_rows']}"
+            )
+    return report
+
+
+def reports_of_both_scans(monkeypatch, pipeline) -> tuple[PipelineReport, PipelineReport]:
+    """The pipeline's report through _scan, then through reference_scan
+    (given its cases as a list of lists, which it reads twice)."""
+    got = pipeline()
+    with monkeypatch.context() as m:
+        m.setattr(
+            enumeration, "_scan",
+            lambda label, fixture, cases, *args, **kwargs: reference_scan(
+                label, fixture, [list(case) for case in cases], *args, **kwargs
+            ),
+        )
+        want = pipeline()
+    return got, want
+
+
+@pytest.fixture
+def edited_tables(tmp_path, monkeypatch):
+    """A function that points the loader at the bundled tables with the value
+    at ``path`` (a sequence of keys and indices) replaced by ``value``."""
+    import qhpp.fixtures as fx
+
+    def edit(path, value):
+        data = json.loads(json.dumps(fx._load(None)))
+        *parents, last = path
+        target = data
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        tables = tmp_path / "tables.json"
+        tables.write_text(json.dumps(data))
+        monkeypatch.setenv(fx.ENV_VAR, str(tables))
+        fx._load.cache_clear()
+
+    yield edit
+    fx._load.cache_clear()
+
+
+@pytest.mark.parametrize("pipeline", [table1_pipeline, lemma_q20_pipeline, small_q_pipeline])
+def test_scan_matches_the_candidate_per_case_scan(monkeypatch, pipeline):
+    got, want = reports_of_both_scans(monkeypatch, pipeline)
+    assert got == want
+    assert got.survivors
+
+
+@pytest.mark.parametrize(
+    ("pipeline", "path", "value", "mismatch"),
+    [
+        (table1_pipeline, ("table1", "stage_counts", "D_square"), 23,
+         "table1: stage 'D_square' computed 24, fixture 23"),
+        (lemma_q20_pipeline, ("q20", "rows", 4, "sings"), ["[2]", "[3]", "[5]", "[2,2,2]"],
+         "q20: fixture row 5 [2]+[3]+[5]+[2,2,2] not produced by the scan"),
+        (lemma_q20_pipeline, ("q20", "bmy_rows"), [1, 2, 3],
+         "q20: BMY survivors differ from fixture rows [1, 2, 3]"),
+        (small_q_pipeline, ("small_q", "bmy_rows"), [1, 2],
+         "small-q: BMY survivors differ from fixture rows [1, 2]"),
+    ],
+)
+def test_scan_matches_the_candidate_per_case_scan_on_edited_tables(
+    monkeypatch, edited_tables, pipeline, path, value, mismatch
+):
+    edited_tables(path, value)
+    got, want = reports_of_both_scans(monkeypatch, pipeline)
+    assert got == want
+    assert mismatch in got.mismatches
+
+
+def _small_q_like_cases() -> list[list[HjCf]]:
+    """[2], [3], an order-5 chain and every chain of order 2..30, with the
+    same chain objects in many cases."""
+    head = [HjCf([2]), HjCf([3])]
+    order5 = [parse_cf(s) for s in ("[2,2,2,2]", "[3,2]", "[5]")]
+    return [head + [t, cf] for q in range(2, 31) for cf in enumerate_cfs_of_order(q) for t in order5]
+
+
+@pytest.mark.parametrize(
+    "fixture",
+    [{"stage_counts": {}, "rows": [], "bmy_rows": []}, load_fixtures()["small_q"]],
+    ids=["empty", "small_q"],
+)
+def test_scan_matches_the_candidate_per_case_scan_on_synthetic_cases(fixture):
+    cases = _small_q_like_cases()
+    want = reference_scan("synthetic", fixture, cases, "cases", bmy=True)
+    assert want.stages[1][1] > 12 and want.stages[2][1] > 1
+    # the same chain objects, reused across cases and fed lazily
+    assert enumeration._scan("synthetic", fixture, iter(cases), "cases", bmy=True) == want
+    # fresh chains for every case, each freed once its case is scanned
+    fresh = ([HjCf(cf.entries) for cf in case] for case in cases)
+    assert enumeration._scan("synthetic", fixture, fresh, "cases", bmy=True) == want
 
 
 # ---------------------------------------------------------------------------

@@ -466,10 +466,11 @@ def test_dp_data_keeps_the_integer_numerator_of_dp_dot_k():
         data = dp_data(cf)
         assert data.dp_dot_k_num == reference_dp_dot_k(cf) * cf.q, cf
         # integers only: no field of the record is a Fraction
-        assert [type(x) for x in (data.q, data.dp_dot_k_num, *data.coeff_nums)] == [int] * (
-            cf.l + 2
-        )
-        assert sorted(vars(data)) == ["cf", "coeff_nums", "dp_dot_k_num", "q"]
+        assert data.d_term == data.dp_dot_k_num - cf.l * cf.q, cf
+        assert [
+            type(x) for x in (data.q, data.dp_dot_k_num, data.d_term, *data.coeff_nums)
+        ] == [int] * (cf.l + 3)
+        assert sorted(vars(data)) == ["cf", "coeff_nums", "d_term", "dp_dot_k_num", "q"]
 
 
 def test_dense_form_check_catches_a_wrong_dp_sq(monkeypatch):
@@ -580,26 +581,44 @@ def test_uv_integer_predicates_agree_with_holds_where_they_fail():
 # ---------------------------------------------------------------------------
 
 
-def _seeded_candidates(monkeypatch) -> list:
-    """Every candidate the seven pipelines and the three random suites build."""
+def _seeded_candidates(monkeypatch) -> tuple[list, list]:
+    """The D of every case the candidate scans test, as (chains, (det R, D)),
+    and every candidate the seven pipelines and the three random suites
+    build."""
+    tested = []
+    real = enumeration._det_and_d
+
+    def record(data):
+        tested.append(([s.cf for s in data], real(data)))
+        return tested[-1][1]
+
     def pipelines():
+        monkeypatch.setattr(enumeration, "_det_and_d", record)
         for fn in enumeration.PIPELINES.values():
             fn()
+        monkeypatch.setattr(enumeration, "_det_and_d", real)
 
     def suites():
         checks.check_esq_identity()
         checks.check_prop_int_inequalities()
         checks.check_reversal_invariance()
 
-    return recorded_results(
+    cands = recorded_results(
         monkeypatch, enumeration, "candidate_invariants", pipelines
     ) + recorded_results(monkeypatch, checks, "candidate_invariants", suites)
+    return tested, cands
 
 
 def test_candidate_invariants_match_the_fraction_sums_on_the_seeded_corpora(monkeypatch):
-    cands = _seeded_candidates(monkeypatch)
-    # 10,000 + 2,000 + 3 x 500 from the suites, the rest from the pipelines
-    assert len(cands) > 13_500 + 1_000
+    tested, cands = _seeded_candidates(monkeypatch)
+    # table1, q20 and small-q test 1,092 + 126 + 240 cases; the suites build
+    # 10,000 + 2,000 + 3 x 500 candidates, and the pipelines the rest
+    assert len(tested) == 1_458
+    assert len(tested) + len(cands) > 13_500 + 1_000
+    for cfs, (det_r, d) in tested:
+        ref = reference_candidate_invariants(cfs)
+        assert (d, det_r) == (ref[1], ref[5]), cfs
+        assert type(d) is int
     assert {cand.c for cand in cands} == {1, 2, 3}
     classes = set()
     for cand in cands:
@@ -715,7 +734,7 @@ def test_cf_info_prints_the_fraction_values_on_every_chain():
 
 
 def test_candidate_to_dict_prints_the_fraction_values_on_the_seeded_corpora(monkeypatch):
-    cands = _seeded_candidates(monkeypatch)
+    _, cands = _seeded_candidates(monkeypatch)
     for cand in cands:
         got = candidate_to_dict(cand)
         assert got["ks2"] == format_rational(Fraction(cand.D, cand.det_r)), cand

@@ -10,7 +10,9 @@ from qhpp.checks import _random_candidate
 from qhpp.cli import main
 from qhpp.hjcf import HjCf
 from qhpp.ratio import format_rational, is_positive_square, parse_rational, rational_sqrt
+from qhpp.fixtures import load_fixtures
 from qhpp.surface import (
+    GRAM_DET_DIGIT_LIMIT,
     BmyStatus,
     GramConfig,
     bmy_status,
@@ -259,3 +261,28 @@ def test_gram_rejects_bad_edges():
         gram_determinant(GramConfig((-1, -2), {(0, 2): 1}))
     with pytest.raises(ValueError):
         gram_determinant(GramConfig((-1, -2), {(0, 1): -1}))
+
+
+def test_gram_refuses_a_hadamard_bound_past_its_digit_limit():
+    # a diagonal configuration's Hadamard bound is |det| itself
+    limit = GRAM_DET_DIGIT_LIMIT
+    inside = GramConfig((-(10**500), 10 ** (limit - 501)), {})
+    assert gram_determinant(inside) == -(10 ** (limit - 1))
+    # a zero row leaves the bound as it is
+    assert gram_determinant(GramConfig((-(10**500), 10 ** (limit - 501), 0), {})) == 0
+    message = f"Hadamard bound on \\|det\\| has more than the limit of {limit:,} digits"
+    with pytest.raises(ValueError, match=message):
+        gram_determinant(GramConfig((-(10**500), 10 ** (limit - 500)), {}))
+    # dense: 100 rows of 100 entries 10^9, each of length 10^10, give 10^1000
+    w = 10**9
+    past = GramConfig((-w,) * 100, {(i, j): w for i in range(100) for j in range(i + 1, 100)})
+    with pytest.raises(ValueError, match=message):
+        gram_determinant(past)
+
+
+def test_gram_reference_configurations_are_inside_the_limits():
+    for cfg in load_fixtures()["gram"]:
+        det = gram_determinant(
+            GramConfig(tuple(cfg["diag"]), {tuple(e): 1 for e in cfg["edges"]})
+        )
+        assert (det if "det" in cfg else abs(det)) == cfg.get("det", cfg.get("abs_det")), cfg

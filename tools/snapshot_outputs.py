@@ -5,14 +5,15 @@
 Runs ``qhpp verify --all``, ``qhpp enumerate --pipeline P --format F`` for
 every pipeline P and every format F, the noA2 scan at the benchmark's cap of
 2000 as JSON, and a fixed set of single requests (``cf-info``,
-``candidate``, ``gram``, three ``gram`` edge errors, ``dioph``, a
-two-variable ``dioph`` of a million leaves, one past the node budget, a
-``dioph`` input error, a chain whose order passes its bound, a usage error
-and ``--help``), each in a fresh interpreter on the ``src/`` of CHECKOUT
-(default: the checkout holding this script), with the bundled reference
-tables and an 80-column terminal width.  ``api.txt`` lists the sorted ``__all__`` of ``qhpp`` and
-of each of its modules.  Each file holds the command's stdout, then its
-stderr, then a line ``rc=N`` with its exit code.
+``candidate``, ``gram``, three ``gram`` edge errors, a ``gram`` past its
+Hadamard digit limit, ``dioph``, a two-variable ``dioph`` of a million
+leaves, one past the node budget, a ``dioph`` input error, a chain whose
+order passes its bound, a usage error and ``--help``), each in a fresh
+interpreter on the ``src/`` of CHECKOUT (default: the checkout holding this
+script), with the bundled reference tables and an 80-column terminal width.
+``api.txt`` lists the sorted ``__all__`` of ``qhpp`` and of each of its
+modules.  Each file holds the command's stdout, then its stderr, then a line
+``rc=N`` with its exit code.
 A refactor keeps these bytes: snapshot the parent and the change into two
 directories and compare them with ``diff -r``.
 """
@@ -38,6 +39,8 @@ REQUESTS = {
     "gram-edge-out-of-range.txt": ["gram", "--diag", "-1,-2", "--edges", "1-5"],
     "gram-edge-loop.txt": ["gram", "--diag", "-1,-2", "--edges", "1-1"],
     "gram-edge-repeated.txt": ["gram", "--diag", "-1,-2", "--edges", "1-2,2-1:3"],
+    # |det| = 10^1000, one digit past surface.GRAM_DET_DIGIT_LIMIT
+    "gram-det-digit-limit.txt": ["gram", "--diag", "-1" + "0" * 500 + ",1" + "0" * 500],
     "dioph.txt": ["dioph", "--coeffs", "1/3,1/5,1/33", "--target", "56/55"],
     "dioph-quad.txt": [
         "dioph", "--coeffs", "1/3,1/5,1/33", "--target", "56/55",
