@@ -1,7 +1,14 @@
 """Property suites: exhaustive identity checks and randomized cross-oracles.
 
 These back the `verify` command and the acceptance tests.  Randomized suites
-use a fixed seed so every run checks the same corpus.
+use a fixed seed so every run checks the same corpus.  Each suite holds its
+own `random.Random(seed)`; every integer draw goes through `_below`, which
+takes bits from `getrandbits` by the rule of CPython's
+`Random._randbelow_with_getrandbits`, and `_sample_range` repeats both
+branches of `Random.sample`.  So the suites draw exactly what `randint`,
+`randrange`, `choice` and `sample` would, without their Python frames and
+argument checks; `tests/test_suite_inputs.py` pins every draw and each
+suite's final generator state to the `random.Random` methods.
 """
 
 from __future__ import annotations
@@ -36,6 +43,37 @@ from .obstruction import (
     solve_dioph,
 )
 from .surface import candidate_invariants, dp_data
+
+
+def _below(rng: random.Random, n: int) -> int:
+    """rng.randrange(n) for n >= 1: k = n.bit_length() bits, drawn again
+    while the result is >= n."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
+def _sample_range(rng: random.Random, n: int, k: int) -> list[int]:
+    """rng.sample(range(1, n + 1), k) for 0 <= k <= min(n, 5): a pool swap
+    when n <= 21, rejection through a set of selected indices otherwise."""
+    result = []
+    if n <= 21:
+        pool = list(range(1, n + 1))
+        for i in range(k):
+            j = _below(rng, n - i)
+            result.append(pool[j])
+            pool[j] = pool[n - i - 1]
+        return result
+    selected = set()
+    for _ in range(k):
+        j = _below(rng, n)
+        while j in selected:
+            j = _below(rng, n)
+        selected.add(j)
+        result.append(j + 1)
+    return result
 
 
 @dataclass
@@ -150,9 +188,9 @@ def check_uv_inequalities(q_max: int = 200, n_random: int = 10_000, seed: int = 
             break
     rng = random.Random(seed)
     for _ in range(n_random):
-        cf = rng.choice(cfs)
-        support = rng.sample(range(1, cf.l + 1), k=min(cf.l, rng.randint(1, 4)))
-        z = {j: rng.randint(0, 4) for j in support}
+        cf = cfs[_below(rng, len(cfs))]
+        support = _sample_range(rng, cf.l, min(cf.l, 1 + _below(rng, 4)))
+        z = {j: _below(rng, 5) for j in support}
         if not _uv_holds(cf, z):
             bad.append(f"{cf}: random z {z}")
             break
@@ -273,9 +311,9 @@ _REGIMES = tuple(Regime)
 
 def _random_candidate(rng: random.Random):
     cfs = []
-    for _ in range(rng.randint(1, 4)):
-        l = rng.randint(1, 4)
-        cfs.append(_random_chain(tuple([rng.randint(2, 5) for _ in range(l)])))
+    for _ in range(1 + _below(rng, 4)):
+        l = 1 + _below(rng, 4)
+        cfs.append(_random_chain(tuple([2 + _below(rng, 4) for _ in range(l)])))
     return candidate_invariants(cfs)
 
 
@@ -287,10 +325,10 @@ def check_esq_identity(n_random: int = 10_000, seed: int = 2024) -> CheckResult:
         cand = _random_candidate(rng)
         hits: dict[tuple[int, int], int] = {}
         for p, s in enumerate(cand.sings):
-            for j in rng.sample(range(1, s.l + 1), k=min(s.l, rng.randint(0, 2))):
-                hits[(p, j)] = rng.randint(1, 3)
+            for j in _sample_range(rng, s.l, min(s.l, _below(rng, 3))):
+                hits[(p, j)] = 1 + _below(rng, 3)
         inc = Incidence.from_hits(cand, hits)
-        curve = CurveClass(0, cand, inc, rng.choice(_REGIMES))
+        curve = CurveClass(0, cand, inc, _REGIMES[_below(rng, len(_REGIMES))])
         if esq_formula(curve) != esq_two_component(curve):
             return CheckResult("esq_identity", False, f"case {i}: {hits}")
     return CheckResult("esq_identity", True, f"{n_random} random incidences")
@@ -332,7 +370,7 @@ def check_prop_int_inequalities(n_random: int = 2_000, seed: int = 2025) -> Chec
         for p, s in enumerate(cand.sings):
             for j in range(1, s.l + 1):
                 if rng.random() < 0.5:
-                    hits[(p, j)] = rng.randint(0, 3)
+                    hits[(p, j)] = _below(rng, 4)
         inc = Incidence.from_hits(cand, hits)
         curve = CurveClass(0, cand, inc)
         if ek_formula(curve) > _relaxed_ek_bound(curve):
@@ -352,7 +390,7 @@ def check_reversal_invariance(n_random: int = 500, seed: int = 2026) -> CheckRes
     for i in range(n_random):
         cand = _random_candidate(rng)
         cfs = [s.cf for s in cand.sings]
-        k = rng.randrange(len(cfs))
+        k = _below(rng, len(cfs))
         flipped = list(cfs)
         flipped[k] = flipped[k].reverse()
         other = candidate_invariants(flipped)
@@ -426,22 +464,22 @@ def check_dioph_oracle(n_random: int = 1_000, seed: int = 2027) -> CheckResult:
         if solve_dioph(prob) != _brute_force_dioph(prob):
             return CheckResult("dioph_oracle", False, f"recorded instance {k}")
     for i in range(n_random):
-        n = rng.randint(1, 4)
+        n = 1 + _below(rng, 4)
         coeffs = tuple(
-            Fraction(rng.randint(1, 9), rng.randint(1, 6)) for _ in range(n)
+            Fraction(1 + _below(rng, 9), 1 + _below(rng, 6)) for _ in range(n)
         )
         # keep the brute-force box small: at most ~20 values per variable
-        target = Fraction(rng.randint(0, 12), rng.randint(1, 4))
+        target = Fraction(_below(rng, 13), 1 + _below(rng, 4))
         while any(target / c > 24 for c in coeffs):
             target /= 2
         groups = ()
         if n >= 2 and rng.random() < 0.3:
-            groups = (((0, 1), coeffs[0] * rng.randint(0, 3)),)
+            groups = (((0, 1), coeffs[0] * _below(rng, 4)),)
         quad = None
         qb = None
         if rng.random() < 0.3:
-            quad = tuple(Fraction(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(n))
-            qb = Fraction(rng.randint(0, 40), rng.randint(1, 4))
+            quad = tuple(Fraction(1 + _below(rng, 5), 1 + _below(rng, 5)) for _ in range(n))
+            qb = Fraction(_below(rng, 41), 1 + _below(rng, 4))
         prob = DiophProblem(coeffs, target, groups, quad, qb)
         if solve_dioph(prob) != sorted(_brute_force_dioph(prob)):
             return CheckResult("dioph_oracle", False, f"random instance {i}")

@@ -327,10 +327,11 @@ def table1_pipeline() -> PipelineReport:
 _ORDER5_CHAINS = (HjCf([2, 2, 2, 2]), HjCf([3, 2]), HjCf([5]))
 
 # The largest order cap the noA2 scan accepts.  The scan grows a little
-# faster than the square of its cap (about 0.03, 0.09, 0.39 and 17.5 s at
-# caps 500, 1000, 2000 and 12,000 on a 2-vCPU host with Python 3.11), and
-# the witness it re-checks is proved for every order, so a larger cap would
-# only run longer.
+# faster than the square of its cap (about 0.018, 0.065, 0.26 and 10.2 s at
+# caps 500, 1000, 2000 and 12,000 on a 2-vCPU host with Python 3.11, the
+# medians of three runs of perfbench/scaling.py), and the witness it
+# re-checks is proved for every order, so a larger cap would only run
+# longer.
 NOA2_CAP_CEILING = 12_000
 
 

@@ -54,9 +54,14 @@ class HjCf:
     Here u[s] is the order of the truncated chain [n1..n(s-1)] and v[s] the
     order of [n(s+1)..nl].  In particular u[l+1] = v[0] = q (the order),
     v[1] = q1, and u[l] = ql (the reversed chain evaluates to q/ql).
+
+    The length ``l`` (the number of exceptional curves) and the order ``q``
+    (|det| of the intersection matrix, 1 for the empty chain) are stored
+    too, since the kernel and the suites read them far more often than a
+    chain is built.
     """
 
-    __slots__ = ("entries", "u_seq", "v_seq")
+    __slots__ = ("entries", "u_seq", "v_seq", "l", "q")
 
     def __init__(self, entries: Iterable[int] = ()):
         ent = tuple(map(int, entries))
@@ -77,6 +82,8 @@ class HjCf:
         _set(self, "entries", ent)
         _set(self, "u_seq", tuple(u))
         _set(self, "v_seq", tuple(w))
+        _set(self, "l", len(ent))
+        _set(self, "q", u[-1])
 
     def __setattr__(self, name, value):
         raise AttributeError("HjCf is immutable")
@@ -84,19 +91,9 @@ class HjCf:
     # -- basic accessors ---------------------------------------------------
 
     @property
-    def l(self) -> int:
-        """Length of the chain (number of exceptional curves)."""
-        return len(self.entries)
-
-    @property
     def trace(self) -> int:
         """Sum of the entries."""
         return sum(self.entries)
-
-    @property
-    def q(self) -> int:
-        """Order of the chain, |det| of its intersection matrix (1 if empty)."""
-        return self.u_seq[-1]
 
     @property
     def q1(self) -> int:

@@ -123,8 +123,25 @@ def test_empty_chain_conventions():
 
 def test_immutability():
     cf = HjCf([3, 2])
-    with pytest.raises(AttributeError):
-        cf.entries = (2, 2)
+    for name in ("entries", "l", "q"):
+        with pytest.raises(AttributeError):
+            setattr(cf, name, 2)
+    assert (cf.entries, cf.l, cf.q) == ((3, 2), 2, 5)
+
+
+def test_stored_length_and_order_over_the_suite_corpus():
+    # the 6,495 chains of order 2..200 that the exhaustive suites share
+    from qhpp.surface import dp_data
+
+    corpus = [cf for q in range(2, 201) for cf in enumerate_cfs_of_order(q)]
+    assert len(corpus) == 6_495
+    for cf in corpus + [HjCf()]:
+        assert cf.l == len(cf.entries)
+        assert cf.q == cf.u_seq[-1] == cf.v_seq[0]
+    assert (HjCf().l, HjCf().q) == (0, 1)
+    for cf in corpus:
+        sing = dp_data(cf)
+        assert sing.l == len(sing.coeff_nums) == cf.l
 
 
 @pytest.mark.parametrize(
