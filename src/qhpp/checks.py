@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import gcd, lcm
 from operator import mul
+from typing import NamedTuple
 
 from .hjcf import (
     HjCf,
@@ -76,8 +76,7 @@ def _sample_range(rng: random.Random, n: int, k: int) -> list[int]:
     return result
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str

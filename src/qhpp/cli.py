@@ -8,7 +8,6 @@ Exit codes: 0 success / everything verified, 1 verification mismatch
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
@@ -81,6 +80,8 @@ def _emit_report(report: PipelineReport, fmt: str) -> None:
         print(_json_dump(report.to_dict()))
         return
     if fmt == "csv":
+        import csv  # only this format needs it, and a start pays for every import
+
         records = _report_records(report)
         fields: list[str] = []
         for rec in records:

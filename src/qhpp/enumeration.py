@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
+from typing import NamedTuple
 
 from .fixtures import load_fixtures
 from .hjcf import (
@@ -69,15 +69,23 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class PipelineReport:
     """Outcome of one pipeline: stage counts, survivors, and fixture diff."""
 
-    pipeline: str
-    stages: list[tuple[str, int]] = field(default_factory=list)
-    survivors: list[dict] = field(default_factory=list)
-    details: dict = field(default_factory=dict)
-    mismatches: list[str] = field(default_factory=list)
+    def __init__(self, pipeline: str) -> None:
+        self.pipeline = pipeline
+        self.stages: list[tuple[str, int]] = []
+        self.survivors: list[dict] = []
+        self.details: dict = {}
+        self.mismatches: list[str] = []
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        return f"PipelineReport({vars(self)})"
 
     @property
     def matches_fixture(self) -> bool:
@@ -217,8 +225,7 @@ def _scan(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrderTupleFamily:
+class OrderTupleFamily(NamedTuple):
     """Pairwise-coprime order tuples (a, b, c, q) with e_orb >= 0.
 
     ``free_max`` is None for the family whose fourth order is unbounded; the

@@ -19,9 +19,9 @@ regime is always an explicit parameter and never inferred.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .ratio import rational_sqrt
 from .surface import CyclicSing, SurfaceCandidate
@@ -49,8 +49,7 @@ class Regime(enum.Enum):
     ANTI_K_AMPLE = "-K"
 
 
-@dataclass(frozen=True)
-class Incidence:
+class Incidence(NamedTuple):
     """Non-negative intersection numbers with each exceptional curve.
 
     ``rows[p][j]`` is E.A(j+1) at the p-th singularity (0-based here,
@@ -77,16 +76,20 @@ class Incidence:
                 raise ValueError("incidence numbers must be non-negative")
 
 
-@dataclass(frozen=True)
-class CurveClass:
-    """A curve class: leading coefficient, candidate surface and incidence."""
-
+# the fields of CurveClass, which checks them at construction
+class _CurveFields(NamedTuple):
     m: int
     cand: SurfaceCandidate
     incidence: Incidence
     regime: Regime = Regime.K_AMPLE
 
-    def __post_init__(self):
+
+class CurveClass(_CurveFields):
+    """A curve class: leading coefficient, candidate surface and incidence."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
         self.incidence.validate_against(self.cand)
 
 
@@ -230,8 +233,16 @@ def minimal_curve_m(cand: SurfaceCandidate, incidence: Incidence) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DiophProblem:
+# the fields of DiophProblem, which checks them at construction
+class _DiophFields(NamedTuple):
+    coeffs: tuple[Fraction, ...]
+    target: Fraction
+    group_constraints: tuple[tuple[tuple[int, ...], Fraction], ...] = ()
+    quad_coeffs: tuple[Fraction, ...] | None = None
+    quad_bound: Fraction | None = None
+
+
+class DiophProblem(_DiophFields):
     """sum coeffs[i] * x[i] = target over non-negative integers x.
 
     All coefficients must be positive, which makes the solution set finite
@@ -243,13 +254,9 @@ class DiophProblem:
       sum quad_coeffs[i] * x[i]^2 <= quad_bound.
     """
 
-    coeffs: tuple[Fraction, ...]
-    target: Fraction
-    group_constraints: tuple[tuple[tuple[int, ...], Fraction], ...] = ()
-    quad_coeffs: tuple[Fraction, ...] | None = None
-    quad_bound: Fraction | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
         if not self.coeffs:
             raise ValueError("at least one coefficient required")
         if any(c <= 0 for c in self.coeffs):

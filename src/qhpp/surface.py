@@ -27,10 +27,9 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd
+from typing import NamedTuple
 
 from .hjcf import HjCf, parse_cf
 from .ratio import _format_over, format_rational, is_positive_square
@@ -48,8 +47,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CyclicSing:
+class CyclicSing(NamedTuple):
     """A cyclic quotient singularity with its resolution-divisor data, as
     integer numerators over q.
 
@@ -93,7 +91,7 @@ def dp_data(cf: HjCf | str) -> CyclicSing:
     data = memo.pop(cf.entries, None)
     if data is None:
         if not cf.entries:
-            raise ValueError("dp_data needs a nonempty chain")
+            raise ValueError("the empty chain [] is not a singularity")
         data = _dp_record(cf)
         if len(memo) >= _DP_MEMO_SIZE:
             del memo[next(iter(memo))]
@@ -122,13 +120,12 @@ def _dp_record(cf: HjCf) -> CyclicSing:
     )
 
 
-@dataclass(frozen=True)
-class SurfaceCandidate:
+class SurfaceCandidate(NamedTuple):
     """A list of cyclic singularities with all derived surface invariants.
 
     ``D`` = det R * K^2 and ``E`` = det R * e_orb are the integers the
     kernel computes; ``ks2``, ``e_orb`` and ``d_prime`` are built from
-    them on first use, one Fraction each.
+    them on each read, one Fraction each.
     """
 
     sings: tuple[CyclicSing, ...]
@@ -138,15 +135,15 @@ class SurfaceCandidate:
     D: int
     E: int
 
-    @cached_property
+    @property
     def ks2(self) -> Fraction:
         return Fraction(self.D, self.det_r)
 
-    @cached_property
+    @property
     def e_orb(self) -> Fraction:
         return Fraction(self.E, self.det_r)
 
-    @cached_property
+    @property
     def d_prime(self) -> Fraction:
         return Fraction(self.D, self.c * self.c)
 
@@ -263,8 +260,7 @@ def candidate_to_dict(cand: SurfaceCandidate) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GramConfig:
+class GramConfig(NamedTuple):
     """A symmetric integer intersection configuration.
 
     ``diagonal`` holds the self-intersections; ``off_diagonal`` maps index

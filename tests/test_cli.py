@@ -158,6 +158,13 @@ def test_candidate_bad_c(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("sings", ["[]", "[2],[]", "[2],[],[3]"])
+def test_candidate_with_an_empty_chain_is_input_error(capsys, sings):
+    # the empty chain parses (cf-info prints it as order 1), but no point has it
+    code, out, err = run(capsys, "candidate", "--sings", sings)
+    assert (code, out, err) == (2, "", "error: the empty chain [] is not a singularity\n")
+
+
 # ---------------------------------------------------------------------------
 # dioph and gram
 # ---------------------------------------------------------------------------
@@ -917,3 +924,23 @@ def test_one_parse_per_request_answers_as_the_two_level_parse(monkeypatch):
                 code = fn(list(argv))
             answers.append((code, out.getvalue(), err.getvalue()))
         assert answers[0] == answers[1], argv
+
+
+def test_start_up_leaves_the_unused_stdlib_unloaded():
+    """Every command is a fresh interpreter that pays for each module its
+    start imports: ``import qhpp.cli`` loads neither ``dataclasses`` nor
+    ``inspect`` nor ``csv`` (the csv format imports it when it writes).  It
+    does load ``qhpp.checks`` and ``qhpp.enumeration``, because the
+    benchmark's tracer (``perfbench/spans.py``) reads both from
+    ``sys.modules`` right after it imports the CLI, and wraps their
+    registries before any command runs."""
+    src = os.path.dirname(os.path.dirname(qhpp.__file__))
+    names = ("csv", "dataclasses", "inspect", "qhpp.checks", "qhpp.enumeration")
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import qhpp.cli; "
+        f"print(' '.join(m for m in {names!r} if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.split() == ["qhpp.checks", "qhpp.enumeration"]

@@ -470,7 +470,7 @@ def test_dp_data_keeps_the_integer_numerator_of_dp_dot_k():
         assert [
             type(x) for x in (data.q, data.dp_dot_k_num, data.d_term, *data.coeff_nums)
         ] == [int] * (cf.l + 3)
-        assert sorted(vars(data)) == ["cf", "coeff_nums", "d_term", "dp_dot_k_num", "q"]
+        assert sorted(data._fields) == ["cf", "coeff_nums", "d_term", "dp_dot_k_num", "q"]
 
 
 def test_dense_form_check_catches_a_wrong_dp_sq(monkeypatch):
@@ -480,7 +480,7 @@ def test_dense_form_check_catches_a_wrong_dp_sq(monkeypatch):
         data = real(cf)
         if cf.entries == (2, 3):
             # Dp^2 = -dp_dot_k_num / q raised by 1/5
-            return data.__class__(**{**vars(data), "dp_dot_k_num": data.dp_dot_k_num - 1})
+            return data._replace(dp_dot_k_num=data.dp_dot_k_num - 1)
         return data
 
     monkeypatch.setattr(checks, "dp_data", off_by_a_bit)
