@@ -346,17 +346,69 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     return _build_parsers()
 
 
+def _plain_parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace | None:
+    """``parser.parse_known_args(argv)``'s namespace, read from the parser's
+    actions, if argv is well formed: exact flags taking one value, each once,
+    the value next or after ``=``, one token per positional, no other token
+    led by ``-`` and no value ``--`` (argparse drops it).  Else None."""
+    flags = parser._option_string_actions
+    given: dict[argparse.Action, tuple[str, str]] = {}
+    tokens: list[str] = []
+    rest = iter(argv)
+    for tok in rest:
+        if not tok.startswith("-"):
+            tokens.append(tok)
+            continue
+        flag, eq, value = tok.partition("=")
+        action = flags.get(flag)
+        if action is None or action.nargs is not None or action in given:
+            return None
+        if not eq:
+            value = next(rest, "-")  # a flag that ends argv lacks its value
+        if value == "--" or (not eq and value.startswith("-")):
+            return None
+        given[action] = (value, flag)
+    # an action's default, set below, wins over the parser's, as in argparse
+    args = argparse.Namespace(**parser._defaults)
+    positional = iter(tokens)
+    for action in parser._actions:
+        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+            setattr(args, action.dest, action.default)
+        if not action.option_strings:
+            text, flag = next(positional, None), None
+            if text is None or action.nargs is not None:
+                return None
+        elif action in given:
+            text, flag = given[action]
+        elif action.required or (action.type is not None and isinstance(action.default, str)):
+            # argparse would pass a str default through the type
+            return None
+        else:
+            continue
+        try:
+            value = text if action.type is None else action.type(text)
+        except (TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        action(parser, args, value, flag)
+    return None if next(positional, None) is not None else args
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = _merge_negative_values(list(sys.argv[1:]) if argv is None else list(argv))
     parser, commands = _parsers()
     try:
-        # A request is parsed once, by its command's own parser.  The
-        # top-level parser answers what only it can: no command or an
-        # unknown one, top-level help, and arguments the command's parser
-        # left over, whose error and usage line are the top-level parser's.
+        # A request is parsed once, by its command's own parser (plainly
+        # when well formed).  The top-level parser answers what only it can:
+        # no command or an unknown one, top-level help, and arguments the
+        # command's parser left over, whose error and usage line are its own.
         args, extra = None, None
         if argv and argv[0] in commands:
-            args, extra = commands[argv[0]].parse_known_args(argv[1:])
+            command = commands[argv[0]]
+            args = _plain_parse(command, argv[1:])
+            if args is None:
+                args, extra = command.parse_known_args(argv[1:])
         if args is None or extra:
             args = parser.parse_args(argv)
     except SystemExit as exc:

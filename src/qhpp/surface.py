@@ -178,6 +178,8 @@ def candidate_invariants(
     if c < 1:
         raise ValueError(f"c must be a positive integer, got {c}")
     det_r, d = _det_and_d(data)
+    if det_r >= _DET_R_CEILING:
+        raise ValueError(f"det R has more than the limit of {DET_R_DIGIT_LIMIT:,} digits")
     if det_r % (c * c) != 0:
         raise ValueError(f"c={c} rejected: c^2 does not divide det R = {det_r}")
     L = 0
@@ -304,6 +306,10 @@ GRAM_DET_DIGIT_LIMIT = 1_000
 # the square of the least bound with more digits, made once: 10^2000 takes
 # longer to compute than the check of a small configuration
 _HADAMARD_SQ_CEILING = 10 ** (2 * GRAM_DET_DIGIT_LIMIT)
+# Digits det R of a candidate may have: its JSON prints det R and fractions
+# over it, and CPython prints no integer of more than 4,300 digits.
+DET_R_DIGIT_LIMIT = 1_000
+_DET_R_CEILING = 10**DET_R_DIGIT_LIMIT
 
 
 def _gram_matrix(cfg: GramConfig) -> list[list[int]]:

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -13,7 +14,7 @@ import pytest
 import qhpp
 import qhpp.fixtures as fx
 from qhpp import enumeration, surface
-from qhpp.cli import _merge_negative_values, build_parser, main
+from qhpp.cli import _merge_negative_values, _parsers, _plain_parse, build_parser, main
 
 # ---------------------------------------------------------------------------
 # helpers
@@ -163,6 +164,23 @@ def test_candidate_with_an_empty_chain_is_input_error(capsys, sings):
     # the empty chain parses (cf-info prints it as order 1), but no point has it
     code, out, err = run(capsys, "candidate", "--sings", sings)
     assert (code, out, err) == (2, "", "error: the empty chain [] is not a singularity\n")
+
+
+def test_candidate_past_its_det_r_digit_limit_is_input_error(capsys):
+    # det R is the product of the orders: 10^1000 - 10^990 is inside, 10^1000 past
+    limit = surface.DET_R_DIGIT_LIMIT
+    orders = [f"[{10**90}]"] * 11
+    code, out, _ = run(capsys, "candidate", "--sings", ",".join([*orders, f"[{10**10 - 1}]"]))
+    assert code == 0
+    assert len(str(json.loads(out)["detR"])) == limit
+    message = f"error: det R has more than the limit of {limit:,} digits\n"
+    assert run(capsys, "candidate", "--sings", ",".join([*orders, f"[{10**10}]"])) == (
+        2, "", message,
+    )
+    # 45 points of order 10^99 + 1: a det R of 4,456 digits, which CPython
+    # would refuse to print
+    q = 10**99 + 1
+    assert run(capsys, "candidate", "--sings", ",".join([f"{q}/2"] * 45)) == (2, "", message)
 
 
 # ---------------------------------------------------------------------------
@@ -873,6 +891,14 @@ REQUESTS = [
     ["-h", "cf-info"],
     ["nope"],
     ["gram", "--diag", "-1,-2", "--edges", "1-2-3"],
+    # forms only argparse answers (a value of "--", which argparse drops, a
+    # repeated flag, an empty choice, a negative number as a positional), and
+    # values joined by "=", which the plain parse answers too
+    ["candidate", "--sings=--"],
+    ["cf-info", "[3,2]", "--format", "json", "--format", "text"],
+    ["enumerate", "--pipeline=step5", "--format="],
+    ["cf-info", "-5"],
+    ["dioph", "--coeffs=1/3,1/5", "--target", "8/15"],
 ]
 
 
@@ -924,6 +950,131 @@ def test_one_parse_per_request_answers_as_the_two_level_parse(monkeypatch):
                 code = fn(list(argv))
             answers.append((code, out.getvalue(), err.getvalue()))
         assert answers[0] == answers[1], argv
+
+
+# ---------------------------------------------------------------------------
+# the plain parse, with argparse as its oracle
+# ---------------------------------------------------------------------------
+
+# values a flag or positional may get: well-formed ones, choices and
+# near-choices, and the shapes argparse treats apart
+FUZZ_VALUES = [
+    "19/9", "[3,2]", "[2],[2,2],[7],[13]", "1/3,1/5,1/33", "56/55", "1-2,1-3",
+    "text", "json", "csv", "step5", "noA2", "tabl", "7", "0", " 3 ", "1e3", "x",
+    "", "a b", "x=y", "=", "-5", "-1,-2", "-.5", "--", "-", "-h", "--help",
+]
+
+
+def _fuzz_argv(rng: random.Random, parser) -> list[str]:
+    """A request to the command's parser, read from its actions: a value for
+    each positional and some of the flags, as the next token or after "=",
+    then sometimes a token dropped or one inserted: a flag again, an
+    abbreviated one, help, "--", an unknown flag or a stray value."""
+    out: list[str] = []
+    flags = []
+    for action in parser._actions:
+        flags += action.option_strings
+        if rng.random() < 0.05:
+            continue
+        if not action.option_strings:
+            out.append(rng.choice(FUZZ_VALUES))
+            continue
+        flag = rng.choice(action.option_strings)
+        if action.nargs is not None:
+            if action.required or rng.random() < 0.05:
+                out.append(flag)
+            continue
+        if not action.required and rng.random() < 0.5:
+            continue
+        value = rng.choice(action.choices if action.choices and rng.random() < 0.8 else FUZZ_VALUES)
+        out += [f"{flag}={value}"] if rng.random() < 0.3 else [flag, value]
+    strays = flags + [f[:3] for f in flags if len(f) > 3] + ["--nope", "--nope=1", "-x"]
+    for _ in range(rng.choice((0, 0, 0, 1, 2))):
+        if out and rng.random() < 0.3:
+            del out[rng.randrange(len(out))]
+        else:
+            tok = rng.choice(strays + FUZZ_VALUES)
+            out.insert(rng.randrange(len(out) + 1), tok)
+    if rng.random() < 0.1:
+        rng.shuffle(out)
+    return out
+
+
+def test_plain_parse_answers_as_argparse_wherever_it_answers():
+    """Seeded argv for every command: wherever the plain parse returns a
+    namespace, argparse returns the same one with nothing left over."""
+    rng = random.Random(2525)
+    commands = _parsers()[1]
+    names = sorted(commands)
+    answered = 0
+    for _ in range(50_000):
+        name = rng.choice(names)
+        argv = _fuzz_argv(rng, commands[name])
+        if rng.random() < 0.5:
+            argv = _merge_negative_values(argv)
+        args = _plain_parse(commands[name], argv)
+        if args is None:
+            continue
+        answered += 1
+        with contextlib.redirect_stderr(io.StringIO()):
+            try:
+                expected = commands[name].parse_known_args(argv)
+            except SystemExit:
+                expected = None
+        assert expected == (args, []), (name, argv)
+    # both sides of the parse are drawn often
+    assert 10_000 < answered < 40_000
+
+
+# the shapes of the benchmark's single requests, merged as ``main`` merges them
+PLAIN_REQUESTS = [
+    ["cf-info", "19/9"],
+    ["cf-info", "[3,2,2]", "--format", "json"],
+    ["candidate", "--sings", "[2],[2,2],[7],[13]"],
+    ["candidate", "--sings", "2,3,5,9/8", "--c", "3"],
+    ["gram", "--diag", "-1,-2,-3,-5", "--edges", "1-2,1-3,1-4"],
+    ["dioph", "--coeffs", "1/3,1/5,1/33", "--target", "56/55"],
+    ["dioph", "--coeffs", "1/3,1/5,1/33", "--target", "56/55",
+     "--quad", "1/3,3/5,4/33", "--quad-bound", "111/110"],
+]
+
+
+@pytest.mark.parametrize("argv", PLAIN_REQUESTS)
+def test_well_formed_requests_skip_argparse(capsys, monkeypatch, argv):
+    argv = _merge_negative_values(argv)
+    command = _parsers()[1][argv[0]]
+    args = _plain_parse(command, argv[1:])
+    assert (args, []) == command.parse_known_args(argv[1:])
+    expected = run(capsys, *argv)
+    assert expected[0] == 0
+
+    def refuse(*_):
+        raise AssertionError("argparse parsed a well-formed request")
+
+    monkeypatch.setattr(type(command), "parse_known_args", refuse)
+    assert run(capsys, *argv) == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["candidate", "--sings=--"],
+        ["candidate", "--sings", "--"],
+        ["verify", "--all"],
+        ["cf-info", "-h"],
+        ["cf-info", "19/9", "--form", "json"],
+        ["cf-info", "19/9", "--format", "json", "--format", "text"],
+        ["cf-info", "19/9", "--format", "xml"],
+        ["cf-info", "-5"],
+        ["cf-info"],
+        ["cf-info", "19/9", "extra"],
+        ["candidate", "--c", "2"],
+        ["candidate", "--sings", "[2]", "--c", "two"],
+        ["gram", "--diag", "-1,-2"],
+    ],
+)
+def test_plain_parse_leaves_the_rest_to_argparse(argv):
+    assert _plain_parse(_parsers()[1][argv[0]], argv[1:]) is None
 
 
 def test_start_up_leaves_the_unused_stdlib_unloaded():
