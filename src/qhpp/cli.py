@@ -7,11 +7,12 @@ Exit codes: 0 success / everything verified, 1 verification mismatch
 
 from __future__ import annotations
 
-import argparse
 import functools
 import io
 import json
 import sys
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from .checks import run_all_checks
 from .enumeration import PIPELINES, PipelineReport, _check_q_cap, run_pipeline
@@ -26,6 +27,9 @@ from .surface import (
     dp_data,
     gram_determinant,
 )
+
+if TYPE_CHECKING:
+    import argparse
 
 
 def _json_dump(obj) -> str:
@@ -260,12 +264,51 @@ def _cmd_gram(args) -> int:
     return 0
 
 
+# each command's handler, help and arguments, each name mapped to the
+# keywords of add_argument in order: the argparse parsers and the plain parse
+# read it
+_COMMANDS = {
+    "cf-info": (_cmd_cf_info, "inspect a Hirzebruch-Jung continued fraction", {
+        "cf": {"help": "chain like [3,2,2] or fraction like 19/9"},
+        "--format": {"choices": ("text", "json"), "default": "text"},
+    }),
+    "candidate": (_cmd_candidate, "invariants of a surface candidate", {
+        "--sings": {"required": True, "help": 'e.g. "[2],[2,2],[7],[13]"'},
+        "--c": {"type": int, "default": 1, "help": "index of the primitive closure"},
+    }),
+    "enumerate": (_cmd_enumerate, "run one enumeration pipeline", {
+        "--pipeline": {"required": True, "choices": sorted(PIPELINES)},
+        "--cap": {"type": int, "default": None, "help": "order cap for the noA2 scan"},
+        # accepted for old command lines; the scans run in one thread
+        "--threads": {"type": int, "help": "==SUPPRESS=="},  # argparse.SUPPRESS
+        "--format": {"choices": ("text", "json", "csv"), "default": "text"},
+    }),
+    "verify": (_cmd_verify, "run every pipeline and property suite", {
+        "--all": {"action": "store_true", "required": True},
+        "--cap": {"type": int, "default": 500, "help": "order cap for the noA2 scan"},
+    }),
+    "dioph": (_cmd_dioph, "solve a bounded linear Diophantine problem", {
+        "--coeffs": {"required": True, "help": "comma-separated positive rationals"},
+        "--target": {"required": True},
+        "--quad": {"default": None, "help": "quadratic filter coefficients"},
+        "--quad-bound": {"default": None},
+    }),
+    "gram": (_cmd_gram, "determinant of an intersection configuration", {
+        "--diag": {"required": True, "help": "self-intersections, e.g. -1,-2,-3,-5"},
+        "--edges": {"default": "", "help": "1-based intersecting pairs, e.g. "
+                                          "1-2,1-3,1-4 (optional :weight)"},
+    }),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     return _build_parsers()[0]
 
 
 def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The top-level parser and the map from each command to its own parser."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="qhpp",
         description=(
@@ -275,49 +318,18 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
         epilog=f"Reference tables can be overridden via the {ENV_VAR} environment variable.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("cf-info", help="inspect a Hirzebruch-Jung continued fraction")
-    p.add_argument("cf", help="chain like [3,2,2] or fraction like 19/9")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(fn=_cmd_cf_info)
-
-    p = sub.add_parser("candidate", help="invariants of a surface candidate")
-    p.add_argument("--sings", required=True, help='e.g. "[2],[2,2],[7],[13]"')
-    p.add_argument("--c", type=int, default=1, help="index of the primitive closure")
-    p.set_defaults(fn=_cmd_candidate)
-
-    p = sub.add_parser("enumerate", help="run one enumeration pipeline")
-    p.add_argument("--pipeline", required=True, choices=sorted(PIPELINES))
-    p.add_argument("--cap", type=int, default=None, help="order cap for the noA2 scan")
-    # accepted for old command lines; the scans run in one thread
-    p.add_argument("--threads", type=int, help=argparse.SUPPRESS)
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.set_defaults(fn=_cmd_enumerate)
-
-    p = sub.add_parser("verify", help="run every pipeline and property suite")
-    p.add_argument("--all", action="store_true", required=True)
-    p.add_argument("--cap", type=int, default=500, help="order cap for the noA2 scan")
-    p.set_defaults(fn=_cmd_verify)
-
-    p = sub.add_parser("dioph", help="solve a bounded linear Diophantine problem")
-    p.add_argument("--coeffs", required=True, help="comma-separated positive rationals")
-    p.add_argument("--target", required=True)
-    p.add_argument("--quad", default=None, help="quadratic filter coefficients")
-    p.add_argument("--quad-bound", default=None)
-    p.set_defaults(fn=_cmd_dioph)
-
-    p = sub.add_parser("gram", help="determinant of an intersection configuration")
-    p.add_argument("--diag", required=True, help="self-intersections, e.g. -1,-2,-3,-5")
-    p.add_argument(
-        "--edges",
-        default="",
-        help="1-based intersecting pairs, e.g. 1-2,1-3,1-4 (optional :weight)",
-    )
-    p.set_defaults(fn=_cmd_gram)
+    for command, (fn, help_text, arguments) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name, kwargs in arguments.items():
+            action = p.add_argument(name, **kwargs)
+            if action.help == argparse.SUPPRESS:  # which argparse tests by identity
+                action.help = argparse.SUPPRESS
+        p.set_defaults(fn=fn)
     return parser, sub.choices
 
 
-_VALUE_FLAGS = {"--diag", "--edges", "--coeffs", "--target", "--quad", "--quad-bound"}
+# dioph and gram take signed numbers, which may start with a minus sign
+_VALUE_FLAGS = {*_COMMANDS["dioph"][2], *_COMMANDS["gram"][2]}
 
 
 def _merge_negative_values(argv: list[str]) -> list[str]:
@@ -340,79 +352,81 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
 
 @functools.cache
 def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The parsers of ``main``, built on its first call and then reused: a
-    parse keeps no state in a parser, and usage, help and error text look
-    up the output streams and the terminal width when they print."""
+    """The parsers of ``main``, built on the first call that needs them and
+    then reused: a parse keeps no state in a parser, and usage, help and
+    error text look up the streams and the terminal width when they print."""
     return _build_parsers()
 
 
-def _plain_parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace | None:
-    """``parser.parse_known_args(argv)``'s namespace, read from the parser's
-    actions, if argv is well formed: exact flags taking one value, each once,
-    the value next or after ``=``, one token per positional, no other token
-    led by ``-`` and no value ``--`` (argparse drops it).  Else None."""
-    flags = parser._option_string_actions
-    given: dict[argparse.Action, tuple[str, str]] = {}
+def _plain_parse(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace that the parser of command ``argv[0]`` gives for the
+    rest, read from ``_COMMANDS``, if argv is well formed: exact flags, each
+    once, a ``store_true`` flag bare and any other with one value, next or
+    after ``=``, one token per positional, no other token led by ``-`` and
+    no value ``--`` (argparse drops it).  Else None."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    fn, _, arguments = _COMMANDS[argv[0]]
+    given: dict[str, str | bool] = {}
     tokens: list[str] = []
-    rest = iter(argv)
+    rest = iter(argv[1:])
     for tok in rest:
         if not tok.startswith("-"):
             tokens.append(tok)
             continue
         flag, eq, value = tok.partition("=")
-        action = flags.get(flag)
-        if action is None or action.nargs is not None or action in given:
+        kwargs = arguments.get(flag)
+        if kwargs is None or flag in given:
             return None
-        if not eq:
-            value = next(rest, "-")  # a flag that ends argv lacks its value
-        if value == "--" or (not eq and value.startswith("-")):
-            return None
-        given[action] = (value, flag)
-    # an action's default, set below, wins over the parser's, as in argparse
-    args = argparse.Namespace(**parser._defaults)
-    positional = iter(tokens)
-    for action in parser._actions:
-        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
-            setattr(args, action.dest, action.default)
-        if not action.option_strings:
-            text, flag = next(positional, None), None
-            if text is None or action.nargs is not None:
+        if kwargs.get("action") == "store_true":
+            if eq:
                 return None
-        elif action in given:
-            text, flag = given[action]
-        elif action.required or (action.type is not None and isinstance(action.default, str)):
-            # argparse would pass a str default through the type
+            value = True
+        elif not eq:
+            value = next(rest, "-")  # a flag that ends argv lacks its value
+            if value.startswith("-"):
+                return None
+        elif value == "--":
             return None
+        given[flag] = value
+    positional = iter(tokens)
+    args = SimpleNamespace(fn=fn)
+    for name, kwargs in arguments.items():
+        dest = name.lstrip("-")  # equal to name for a positional
+        value = next(positional, None) if dest == name else given.get(name)
+        if value is None:
+            if dest == name or kwargs.get("required"):
+                return None
+            value = kwargs.get("default", False if "action" in kwargs else None)
         else:
-            continue
-        try:
-            value = text if action.type is None else action.type(text)
-        except (TypeError, ValueError):
-            return None
-        if action.choices is not None and value not in action.choices:
-            return None
-        action(parser, args, value, flag)
+            if "type" in kwargs:
+                try:
+                    value = kwargs["type"](value)
+                except ValueError:
+                    return None
+            if value not in kwargs.get("choices", (value,)):
+                return None
+        setattr(args, dest.replace("-", "_"), value)
     return None if next(positional, None) is not None else args
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = _merge_negative_values(list(sys.argv[1:]) if argv is None else list(argv))
-    parser, commands = _parsers()
-    try:
-        # A request is parsed once, by its command's own parser (plainly
-        # when well formed).  The top-level parser answers what only it can:
-        # no command or an unknown one, top-level help, and arguments the
-        # command's parser left over, whose error and usage line are its own.
-        args, extra = None, None
-        if argv and argv[0] in commands:
-            command = commands[argv[0]]
-            args = _plain_parse(command, argv[1:])
-            if args is None:
-                args, extra = command.parse_known_args(argv[1:])
-        if args is None or extra:
-            args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code else 0
+    args = _plain_parse(argv)
+    if args is None:
+        parser, commands = _parsers()
+        try:
+            # Only help, errors and declined forms build parsers and import
+            # argparse.  The command's own parser parses, and the top-level
+            # parser answers what only it can: no command or an unknown one,
+            # top-level help, and arguments the command's parser left over.
+            extra = None
+            if argv and argv[0] in commands:
+                args, extra = commands[argv[0]].parse_known_args(argv[1:])
+            if args is None or extra:
+                args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return 2 if exc.code else 0
     try:
         return args.fn(args)
     except (ValueError, KeyError, OSError) as exc:

@@ -755,10 +755,15 @@ def _classify_row(cfs: list[HjCf]) -> str:
     return "residual"
 
 
-# admissible multisets of met self-intersections for a minimal curve meeting
-# three components; two (-2)s together with a third component of order >= 3
-# are excluded on separate structural grounds
-_DP3_TRIPLES = {(2, 2, 2), (2, 3, 3), (2, 3, 4), (2, 3, 5)}
+# admissible sorted self-intersections (a, b, c) met by a minimal curve
+# meeting three components: the spherical triples, 1/a + 1/b + 1/c > 1, less
+# the family (2, 2, k >= 3), which is excluded on separate structural grounds.
+# Every other triple but (2, 2, 2) has b >= 3, so 1/c > 1 - 1/2 - 1/3: c <= 5.
+_DP3_TRIPLES = {
+    (a, b, c)
+    for a in range(2, 6) for b in range(a, 6) for c in range(b, 6)
+    if b * c + a * c + a * b > a * b * c and not a == b == 2 < c
+}
 
 
 def _component_labels(cand: SurfaceCandidate) -> list[tuple[int, int, int, str]]:

@@ -13,9 +13,20 @@ from math import gcd, isqrt
 __all__ = ["format_rational", "is_positive_square", "parse_rational", "rational_sqrt"]
 
 
+# Digits a numerator or a denominator may be written with, counted before
+# int() converts them: CPython converts no string of more than 4,300 digits,
+# and the bundled reference tables write at most 4.
+RATIONAL_DIGIT_LIMIT = 1_000
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse ``"p/q"`` or a bare integer string into a Fraction (ValueError if malformed)."""
+    """Parse ``"p/q"`` or a bare integer string into a Fraction (ValueError if
+    malformed, or if p or q has more than RATIONAL_DIGIT_LIMIT digits)."""
     s = text.strip()
+    if len(s) > RATIONAL_DIGIT_LIMIT and any(
+        sum(map(str.isdigit, part)) > RATIONAL_DIGIT_LIMIT for part in s.split("/", 1)
+    ):
+        raise ValueError(f"a rational has more than the limit of {RATIONAL_DIGIT_LIMIT:,} digits")
     if "/" in s:
         num, den = map(int, s.split("/", 1))
         if den == 0:

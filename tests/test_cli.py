@@ -13,7 +13,7 @@ import pytest
 
 import qhpp
 import qhpp.fixtures as fx
-from qhpp import enumeration, surface
+from qhpp import cli, enumeration, surface
 from qhpp.cli import _merge_negative_values, _parsers, _plain_parse, build_parser, main
 
 # ---------------------------------------------------------------------------
@@ -286,6 +286,33 @@ def test_dioph_zero_denominator_is_input_error(capsys, flags, text):
     code, out, err = run(capsys, "dioph", *flags)
     assert (code, out) == (2, "")
     assert err == f"error: zero denominator in '{text}'\n"
+
+
+def test_dioph_rational_at_its_digit_limit_is_accepted(capsys):
+    # a target of 1,000 digits, and a coefficient whose denominator has 1,000
+    target = "1" + "0" * 999
+    code, out, err = run(capsys, "dioph", "--coeffs", "1", "--target", target)
+    assert (code, out, err) == (0, f"[[{target}]]\n", "")
+    code, out, err = run(capsys, "dioph", "--coeffs", f"1/{target}", "--target", "1")
+    assert (code, out, err) == (0, f"[[{target}]]\n", "")
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--coeffs", "1", "--target", "1" + "0" * 1_000),
+        ("--coeffs", "1", "--target", "-1" + "0" * 1_000 + "/3"),
+        ("--coeffs", "1/1" + "0" * 1_000, "--target", "1"),
+        ("--coeffs", "1", "--target", "1" + "0" * 5_000),
+        ("--coeffs", "1", "--target", "1", "--quad", "1", "--quad-bound", "1" + "0" * 1_000),
+    ],
+)
+def test_dioph_rational_past_its_digit_limit_is_input_error(capsys, flags):
+    # refused before int() converts it, so CPython's own limit of 4,300
+    # digits is never met
+    code, out, err = run(capsys, "dioph", *flags)
+    assert (code, out) == (2, "")
+    assert err == "error: a rational has more than the limit of 1,000 digits\n"
 
 
 def test_gram_star(capsys):
@@ -1012,16 +1039,16 @@ def test_plain_parse_answers_as_argparse_wherever_it_answers():
         argv = _fuzz_argv(rng, commands[name])
         if rng.random() < 0.5:
             argv = _merge_negative_values(argv)
-        args = _plain_parse(commands[name], argv)
+        args = _plain_parse([name, *argv])
         if args is None:
             continue
         answered += 1
         with contextlib.redirect_stderr(io.StringIO()):
             try:
-                expected = commands[name].parse_known_args(argv)
+                expected, extra = commands[name].parse_known_args(argv)
             except SystemExit:
-                expected = None
-        assert expected == (args, []), (name, argv)
+                expected, extra = None, None
+        assert extra == [] and vars(expected) == vars(args), (name, argv)
     # both sides of the parse are drawn often
     assert 10_000 < answered < 40_000
 
@@ -1039,19 +1066,20 @@ PLAIN_REQUESTS = [
 ]
 
 
-@pytest.mark.parametrize("argv", PLAIN_REQUESTS)
+@pytest.mark.parametrize("argv", [*PLAIN_REQUESTS, ["verify", "--all"]])
 def test_well_formed_requests_skip_argparse(capsys, monkeypatch, argv):
     argv = _merge_negative_values(argv)
-    command = _parsers()[1][argv[0]]
-    args = _plain_parse(command, argv[1:])
-    assert (args, []) == command.parse_known_args(argv[1:])
+    expected, extra = _parsers()[1][argv[0]].parse_known_args(argv[1:])
+    args = _plain_parse(argv)
+    assert extra == [] and args is not None and vars(args) == vars(expected)
     expected = run(capsys, *argv)
-    assert expected[0] == 0
+    # verify exits 1 for the two errata of the reference tables
+    assert expected[0] == (1 if argv[0] == "verify" else 0)
 
-    def refuse(*_):
-        raise AssertionError("argparse parsed a well-formed request")
+    def refuse():
+        raise AssertionError("main built or used argparse for a well-formed request")
 
-    monkeypatch.setattr(type(command), "parse_known_args", refuse)
+    monkeypatch.setattr(cli, "_parsers", refuse)
     assert run(capsys, *argv) == expected
 
 
@@ -1060,7 +1088,11 @@ def test_well_formed_requests_skip_argparse(capsys, monkeypatch, argv):
     [
         ["candidate", "--sings=--"],
         ["candidate", "--sings", "--"],
-        ["verify", "--all"],
+        ["verify", "--all=x"],
+        ["verify", "--all", "--all"],
+        [],
+        ["nope"],
+        ["--help"],
         ["cf-info", "-h"],
         ["cf-info", "19/9", "--form", "json"],
         ["cf-info", "19/9", "--format", "json", "--format", "text"],
@@ -1074,19 +1106,21 @@ def test_well_formed_requests_skip_argparse(capsys, monkeypatch, argv):
     ],
 )
 def test_plain_parse_leaves_the_rest_to_argparse(argv):
-    assert _plain_parse(_parsers()[1][argv[0]], argv[1:]) is None
+    assert _plain_parse(argv) is None
 
 
 def test_start_up_leaves_the_unused_stdlib_unloaded():
     """Every command is a fresh interpreter that pays for each module its
-    start imports: ``import qhpp.cli`` loads neither ``dataclasses`` nor
-    ``inspect`` nor ``csv`` (the csv format imports it when it writes).  It
-    does load ``qhpp.checks`` and ``qhpp.enumeration``, because the
-    benchmark's tracer (``perfbench/spans.py``) reads both from
-    ``sys.modules`` right after it imports the CLI, and wraps their
-    registries before any command runs."""
+    start imports: ``import qhpp.cli`` loads none of ``dataclasses``,
+    ``inspect`` and ``csv`` (the csv format imports it when it writes), nor
+    ``argparse`` with its ``gettext`` and ``locale`` (help, errors and the
+    forms the plain parse declines import it).  It does load ``qhpp.checks``
+    and ``qhpp.enumeration``, because the benchmark's tracer
+    (``perfbench/spans.py``) reads both from ``sys.modules`` right after it
+    imports the CLI, and wraps their registries before any command runs."""
     src = os.path.dirname(os.path.dirname(qhpp.__file__))
-    names = ("csv", "dataclasses", "inspect", "qhpp.checks", "qhpp.enumeration")
+    names = ("argparse", "csv", "dataclasses", "gettext", "inspect", "locale",
+             "qhpp.checks", "qhpp.enumeration")
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import qhpp.cli; "
         f"print(' '.join(m for m in {names!r} if m in sys.modules))"
@@ -1095,3 +1129,28 @@ def test_start_up_leaves_the_unused_stdlib_unloaded():
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
     )
     assert proc.stdout.split() == ["qhpp.checks", "qhpp.enumeration"]
+
+
+def test_benchmark_requests_leave_argparse_unloaded():
+    """In a fresh interpreter, ``main`` answers the benchmark's requests (the
+    single requests, the six pipelines as JSON and ``verify --all``) without
+    importing argparse."""
+    src = os.path.dirname(os.path.dirname(qhpp.__file__))
+    pipelines = ("table1", "q20", "small-q", "l11", "step5", "step6")
+    requests = [
+        *PLAIN_REQUESTS,
+        *(["enumerate", "--pipeline", p, "--format", "json"] for p in pipelines),
+        ["verify", "--all", "--cap", "7"],
+    ]
+    code = (
+        f"import contextlib, io, sys; sys.path.insert(0, {src!r}); import qhpp.cli\n"
+        f"with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [qhpp.cli.main(argv) for argv in {requests!r}]\n"
+        f"print(codes, 'argparse' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    # q20 and small-q, and so verify, exit 1 for the two errata
+    codes = [0] * len(PLAIN_REQUESTS) + [0, 1, 1, 0, 0, 0, 1]
+    assert (proc.stdout, proc.stderr) == (f"{codes} False\n", "")

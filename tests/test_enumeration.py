@@ -3,7 +3,7 @@
 import json
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import comb, gcd
 
 import pytest
@@ -556,6 +556,29 @@ def test_residual_sweep_calls_a_half_integral_m_non_integer():
         {"meets": ["A", "B3", "C6"], "value": "12/217", "outcome": "non_integer", "m": "3/2"},
     ]
     assert Fraction(12, 217) * cand.det_r / 16 == Fraction(3, 2)
+
+
+def test_dp3_triples_are_the_spherical_triples_less_the_2_2_k_family():
+    # every sorted triple of entries up to 12, against 1/a + 1/b + 1/c > 1
+    # in Fractions and the named exclusion (2, 2, k >= 3)
+    for a, b, c in combinations_with_replacement(range(2, 13), 3):
+        spherical = Fraction(1, a) + Fraction(1, b) + Fraction(1, c) > 1
+        excluded = (a, b) == (2, 2) and c >= 3
+        assert ((a, b, c) in enumeration._DP3_TRIPLES) == (spherical and not excluded), (a, b, c)
+    assert enumeration._DP3_TRIPLES == {(2, 2, 2), (2, 3, 3), (2, 3, 4), (2, 3, 5)}
+
+
+def test_residual_sweep_leaves_out_the_2_2_k_family():
+    # a synthetic residual row, L = 9, D = 64 = 8^2: the triples of three
+    # chains with sum L - 2 = 7 all meet -2, -2, -3 (the chain D's -3 and two
+    # -2s), so the sweep admits no branch and the row fails on L; were
+    # (2, 2, 3) admitted, each would be a geometric branch with m = 10
+    cand = candidate_invariants(["[2]", "[2]", "[2,2,2]", "[2,2,2,3]"])
+    assert (cand.L, cand.D) == (9, 64)
+    assert enumeration._classify_row([c.cf for c in cand.sings]) == "residual"
+    assert enumeration._residual_sweep(cand) == {
+        "eliminated_by": "L_violation", "L": 9, "required": 8,
+    }
 
 
 def test_step6_case23_sweep_values():

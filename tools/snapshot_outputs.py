@@ -7,8 +7,9 @@ every pipeline P and every format F, the noA2 scan at the benchmark's cap of
 2000 as JSON, and a fixed set of single requests (``cf-info``,
 ``candidate``, ``gram``, three ``gram`` edge errors, a ``gram`` past its
 Hadamard digit limit, ``dioph``, a two-variable ``dioph`` of a million
-leaves, one past the node budget, a ``dioph`` input error, a chain whose
-order passes its bound, a usage error and ``--help``), each in a fresh
+leaves, one past the node budget, a ``dioph`` input error, a ``dioph``
+rational past its digit limit, a chain whose order passes its bound, a usage
+error, ``--help`` and each command's ``--help``), each in a fresh
 interpreter on the ``src/`` of CHECKOUT (default: the checkout holding this
 script), with the bundled reference tables and an 80-column terminal width.
 ``api.txt`` lists the sorted ``__all__`` of ``qhpp`` and of each of its
@@ -54,11 +55,17 @@ REQUESTS = {
     "dioph-two-variables.txt": ["dioph", "--coeffs", "1/1000000,1/1000001", "--target", "1"],
     "dioph-node-budget.txt": ["dioph", "--coeffs", "1/300,1/300,1/300,1/301", "--target", "1"],
     "dioph-zero-denominator.txt": ["dioph", "--coeffs", "1/0", "--target", "1"],
+    # a target of 1,001 digits, one past ratio.RATIONAL_DIGIT_LIMIT
+    "dioph-digit-limit.txt": ["dioph", "--coeffs", "1", "--target", "1" + "0" * 1_000],
     "enumerate-noA2-cap2000-json.txt": [
         "enumerate", "--pipeline", "noA2", "--cap", "2000", "--format", "json",
     ],
     "usage-error.txt": ["candidate"],
     "help.txt": ["--help"],
+    **{
+        f"help-{command}.txt": [command, "--help"]
+        for command in ("cf-info", "candidate", "enumerate", "verify", "dioph", "gram")
+    },
 }
 API = """
 import importlib, pkgutil, qhpp
