@@ -7,7 +7,6 @@ Exit codes: 0 success / everything verified, 1 verification mismatch
 
 from __future__ import annotations
 
-import functools
 import io
 import json
 import sys
@@ -302,11 +301,9 @@ _COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    return _build_parsers()[0]
-
-
-def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and the map from each command to its own parser."""
+    """A new top-level parser, each command's parser built from
+    ``_COMMANDS``.  argparse is imported here, and so only for help, errors
+    and the forms the plain parse declines."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -325,7 +322,7 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
             if action.help == argparse.SUPPRESS:  # which argparse tests by identity
                 action.help = argparse.SUPPRESS
         p.set_defaults(fn=fn)
-    return parser, sub.choices
+    return parser
 
 
 # dioph and gram take signed numbers, which may start with a minus sign
@@ -348,14 +345,6 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
                 continue
         out.append(tok)
     return out
-
-
-@functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The parsers of ``main``, built on the first call that needs them and
-    then reused: a parse keeps no state in a parser, and usage, help and
-    error text look up the streams and the terminal width when they print."""
-    return _build_parsers()
 
 
 def _plain_parse(argv: list[str]) -> SimpleNamespace | None:
@@ -414,17 +403,8 @@ def main(argv: list[str] | None = None) -> int:
     argv = _merge_negative_values(list(sys.argv[1:]) if argv is None else list(argv))
     args = _plain_parse(argv)
     if args is None:
-        parser, commands = _parsers()
         try:
-            # Only help, errors and declined forms build parsers and import
-            # argparse.  The command's own parser parses, and the top-level
-            # parser answers what only it can: no command or an unknown one,
-            # top-level help, and arguments the command's parser left over.
-            extra = None
-            if argv and argv[0] in commands:
-                args, extra = commands[argv[0]].parse_known_args(argv[1:])
-            if args is None or extra:
-                args = parser.parse_args(argv)
+            args = build_parser().parse_args(argv)
         except SystemExit as exc:
             return 2 if exc.code else 0
     try:

@@ -280,26 +280,6 @@ def _chain_shape(q: int, q1: int) -> tuple[int, int]:
     return trace, length
 
 
-def _dedekind12(h: int, k: int) -> int:
-    """12·k·s(h, k) for coprime h and k >= 1, where s is the Dedekind sum.
-
-    By reciprocity, h·D(h, k) + k·D(k, h) = h² + k² + 1 - 3hk for D(h, k) =
-    12·k·s(h, k), and D(h, k) depends on h mod k only.  One Euclid pass
-    records the pairs down to k = 1, where D = 0; the pairs are then solved
-    back up in integers.  It owes nothing to Hirzebruch-Jung expansion, which
-    makes it an independent oracle for the closed forms of the noA2 scan.
-    """
-    pairs = []
-    h %= k
-    while k > 1:
-        pairs.append((h, k))
-        h, k = k % h, h
-    d = 0
-    for h, k in reversed(pairs):
-        d = (h * h + k * k + 1 - 3 * h * k - k * d) // h
-    return d
-
-
 def _expand_entries(q: int, q1: int) -> tuple[int, ...]:
     entries = []
     a, b = q, q1
@@ -388,7 +368,7 @@ def _parse_cf(text: str) -> HjCf:
                 f"q1 must satisfy 1 <= q1 < q, got a q1 of more than"
                 f" {ORDER_DIGIT_LIMIT} digits, q={q}"
             )
-        return cf_from_pair(q, int(den))
+        return cf_from_pair(q, _order_int(den))
     return cf_from_pair(_order_int(s), 1)
 
 
@@ -401,7 +381,17 @@ def _past_digit_limit(token: str) -> bool:
 def _order_int(token: str) -> int:
     """int(token), refused before the conversion when the number has more
     than ORDER_DIGIT_LIMIT digits: no entry or order of a chain within the
-    bound has that many."""
+    bound has that many.  A token longer than that which passes the count
+    is padded, so only the digits counted are converted, with their sign:
+    leading zeros never reach CPython's own limit.  A token whose digits do
+    not parse is converted as written, for int's own error text."""
     if _past_digit_limit(token):
         raise ValueError(_ORDER_ERROR)
+    if len(token) > ORDER_DIGIT_LIMIT:
+        s = token.strip()
+        digits = s.lstrip("+-")
+        try:
+            return int(s[: len(s) - len(digits)] + (digits.lstrip("0") or "0"))
+        except ValueError:
+            pass
     return int(token)

@@ -14,7 +14,8 @@ import pytest
 import qhpp
 import qhpp.fixtures as fx
 from qhpp import cli, enumeration, surface
-from qhpp.cli import _merge_negative_values, _parsers, _plain_parse, build_parser, main
+from qhpp.cli import _merge_negative_values, _plain_parse, build_parser, main
+from tests import oracles
 
 # ---------------------------------------------------------------------------
 # helpers
@@ -114,6 +115,22 @@ def test_q1_past_the_order_limit_is_named(capsys):
 def test_chain_at_its_order_limit_is_accepted(capsys, text, q):
     code, out, _ = run(capsys, "cf-info", text, "--format", "json")
     assert code == 0 and json.loads(out)["q"] == q
+
+
+@pytest.mark.parametrize(
+    ("argv", "unpadded"),
+    [
+        (["cf-info", "0" * 5_000 + "19/9"], ["cf-info", "19/9"]),
+        (["cf-info", "[" + "0" * 5_000 + "3,2]"], ["cf-info", "[3,2]"]),
+        (["cf-info", "19/" + "0" * 5_000 + "9"], ["cf-info", "19/9"]),
+        (["candidate", "--sings", "[2],[" + "0" * 5_000 + "3]"], ["candidate", "--sings", "[2],[3]"]),
+    ],
+)
+def test_zero_padded_chain_token_answers_as_its_digits(capsys, argv, unpadded):
+    # 5,000 leading zeros pass CPython's limit on integer conversion; they
+    # count towards no order, and are dropped before any conversion
+    want = run(capsys, *unpadded)
+    assert want[0] == 0 and run(capsys, *argv) == want
 
 
 def test_bracket_chain_past_its_length_limit_is_input_error(capsys):
@@ -885,13 +902,13 @@ def test_verify_has_no_threads_flag(capsys):
 
 
 # ---------------------------------------------------------------------------
-# one parser for every call of main
+# main in one process, against a fresh interpreter and against argparse
 # ---------------------------------------------------------------------------
 
 # every subcommand, text, JSON and CSV output, a mismatch, the negative-value
 # merge, usage errors, help text, ValueErrors from a command, and the cases
-# the top-level parser answers: no command, an unknown one, top-level help
-# and a leftover argument
+# only the top-level parser answers: no command, an unknown one, top-level
+# help and a leftover argument
 REQUESTS = [
     ["cf-info", "19/9"],
     ["cf-info", "[3,2]", "--format", "json"],
@@ -944,39 +961,24 @@ def test_reused_parser_answers_as_a_fresh_interpreter(monkeypatch):
     assert {rc for rc, _, _ in fresh} == {0, 1, 2}
     for order in (range(len(REQUESTS)), reversed(range(len(REQUESTS)))):
         for i in order:
-            # new streams for every call, so text sent to a stream an
-            # earlier call saw is lost
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(REQUESTS[i])
-            assert (code, out.getvalue(), err.getvalue()) == fresh[i], REQUESTS[i]
+            assert _answer(main, REQUESTS[i]) == fresh[i], REQUESTS[i]
 
 
-def reference_main(argv: list[str]) -> int:
-    """``main`` as it parsed before: the top-level parser and, inside its
-    parse, the command's own."""
-    try:
-        args = build_parser().parse_args(_merge_negative_values(list(argv)))
-    except SystemExit as exc:
-        return 2 if exc.code else 0
-    try:
-        return args.fn(args)
-    except (ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def _answer(fn, argv: list[str]) -> tuple[int, str, str]:
+    """The exit code, stdout and stderr of fn(argv), on new streams, so text
+    sent to a stream an earlier call saw is lost."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = fn(list(argv))
+    return code, out.getvalue(), err.getvalue()
 
 
 def test_one_parse_per_request_answers_as_the_two_level_parse(monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     monkeypatch.delenv(fx.ENV_VAR, raising=False)
-    for argv in REQUESTS:
-        answers = []
-        for fn in (main, reference_main):
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = fn(list(argv))
-            answers.append((code, out.getvalue(), err.getvalue()))
-        assert answers[0] == answers[1], argv
+    oracles.agree(
+        lambda argv: _answer(main, argv), lambda argv: _answer(oracles.argparse_main, argv), REQUESTS
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -990,6 +992,13 @@ FUZZ_VALUES = [
     "text", "json", "csv", "step5", "noA2", "tabl", "7", "0", " 3 ", "1e3", "x",
     "", "a b", "x=y", "=", "-5", "-1,-2", "-.5", "--", "-", "-h", "--help",
 ]
+
+
+def _command_parsers() -> dict:
+    """Each command's own parser, read from a new top-level parser's
+    subparsers action."""
+    (subparsers,) = [action for action in build_parser()._actions if action.dest == "command"]
+    return subparsers.choices
 
 
 def _fuzz_argv(rng: random.Random, parser) -> list[str]:
@@ -1031,7 +1040,7 @@ def test_plain_parse_answers_as_argparse_wherever_it_answers():
     """Seeded argv for every command: wherever the plain parse returns a
     namespace, argparse returns the same one with nothing left over."""
     rng = random.Random(2525)
-    commands = _parsers()[1]
+    commands = _command_parsers()
     names = sorted(commands)
     answered = 0
     for _ in range(50_000):
@@ -1069,7 +1078,7 @@ PLAIN_REQUESTS = [
 @pytest.mark.parametrize("argv", [*PLAIN_REQUESTS, ["verify", "--all"]])
 def test_well_formed_requests_skip_argparse(capsys, monkeypatch, argv):
     argv = _merge_negative_values(argv)
-    expected, extra = _parsers()[1][argv[0]].parse_known_args(argv[1:])
+    expected, extra = _command_parsers()[argv[0]].parse_known_args(argv[1:])
     args = _plain_parse(argv)
     assert extra == [] and args is not None and vars(args) == vars(expected)
     expected = run(capsys, *argv)
@@ -1079,7 +1088,7 @@ def test_well_formed_requests_skip_argparse(capsys, monkeypatch, argv):
     def refuse():
         raise AssertionError("main built or used argparse for a well-formed request")
 
-    monkeypatch.setattr(cli, "_parsers", refuse)
+    monkeypatch.setattr(cli, "build_parser", refuse)
     assert run(capsys, *argv) == expected
 
 

@@ -3,17 +3,14 @@
 import json
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
-from math import comb, gcd
+from itertools import combinations_with_replacement
+from math import gcd
 
 import pytest
 
 from qhpp import enumeration
 from qhpp.enumeration import (
     PipelineReport,
-    _chains_key,
-    _diff_rows,
-    _expect,
     enumerate_order_tuples,
     l11_rationality_checks,
     lemma_q20_pipeline,
@@ -26,9 +23,10 @@ from qhpp.enumeration import (
 )
 from qhpp.fixtures import load_fixtures
 from qhpp.hjcf import HjCf, enumerate_cfs_of_order, parse_cf
-from qhpp.obstruction import DiophProblem, aggregated_problem, solve_dioph
-from qhpp.ratio import format_rational, is_positive_square, rational_sqrt
+from qhpp.obstruction import aggregated_problem, solve_dioph
+from qhpp.ratio import rational_sqrt
 from qhpp.surface import candidate_invariants, dp_data
+from tests import oracles
 
 # ---------------------------------------------------------------------------
 # order-tuple families
@@ -130,25 +128,6 @@ def test_q20_tallies_match_printed_shape_lists():
     assert report.details["case_tallies"][1:] == [80, 6]
 
 
-def burnside_classes(length: int, trace: int) -> int:
-    """Chains of the given length and entry sum up to reversal, counted as
-    (compositions + palindromes) / 2 by stars and bars: with every entry
-    n_i = 2 + a_i, a composition is a_1 + ... + a_l = trace - 2l."""
-
-    def parts(total: int, n: int) -> int:
-        # total as an ordered sum of n non-negative integers
-        return comb(total + n - 1, n - 1) if n else int(total == 0)
-
-    spare = trace - 2 * length
-    half = length // 2
-    if length % 2 == 0:
-        palindromes = parts(spare // 2, half) if spare % 2 == 0 else 0
-    else:
-        # the middle entry takes spare - 2k, each half k
-        palindromes = sum(parts(k, half) for k in range(spare // 2 + 1))
-    return (parts(spare, length) + palindromes) // 2
-
-
 def test_q20_tallies_by_a_burnside_count():
     # the same trace windows as the pipeline, counted without enumerating
     tallies = []
@@ -158,21 +137,19 @@ def test_q20_tallies_by_a_burnside_count():
         count = 0
         for l in range(1, 11 - 2 - p3.l + 1):
             tr_min, tr_max = enumeration._q20_trace_window(l, l + 2 + p3.l, dp_sq)
-            count += sum(burnside_classes(l, tr) for tr in range(max(2 * l, tr_min), tr_max + 1))
+            count += sum(oracles.burnside_classes(l, tr) for tr in range(max(2 * l, tr_min), tr_max + 1))
         tallies.append(count)
     assert tallies == [40, 80, 6] and sum(tallies) == 126
     assert lemma_q20_pipeline().details["case_tallies"] == tallies
 
 
 def test_burnside_count_matches_a_plain_count():
-    for length in range(1, 7):
-        for spare in range(7):
-            shapes = {
-                min(ent, ent[::-1])
-                for ent in product(range(2, spare + 3), repeat=length)
-                if sum(ent) == 2 * length + spare
-            }
-            assert burnside_classes(length, 2 * length + spare) == len(shapes), (length, spare)
+    shapes = [(length, 2 * length + spare) for length in range(1, 7) for spare in range(7)]
+    oracles.agree(
+        lambda shape: oracles.burnside_classes(*shape),
+        lambda shape: len(oracles.shape_classes(*shape)),
+        shapes,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -240,57 +217,15 @@ def test_scan_counts_a_candidate_on_the_bmy_bound(sings, ks2, det_r):
 # ---------------------------------------------------------------------------
 
 
-def reference_scan(
-    label: str,
-    fixture: dict,
-    cases: list[list[HjCf]],
-    first: str,
-    bmy: bool = False,
-    extras: tuple[tuple[str, object, object], ...] = (),
-) -> PipelineReport:
-    """Shared engine of the candidate scans: invariants of every case, the
-    square-D filter, optionally the BMY filter, then the fixture diff.
-
-    Mismatches come in a fixed order: stage counts, the ``(what, got, want)``
-    extras, the row diff, and the BMY rows.
-    """
-    report = PipelineReport(label)
-    cands = [candidate_invariants(case) for case in cases]
-    square = {
-        _chains_key(case): c for case, c in zip(cases, cands) if is_positive_square(c.D)
-    }
-    report.stages = [(first, len(cases)), ("D_square", len(square))]
-    if bmy:
-        survivors_bmy = {k for k, c in square.items() if c.D <= 3 * c.E}
-        report.stages.append(("BMY", len(survivors_bmy)))
-    counts = fixture["stage_counts"]
-    for name, count in report.stages:
-        if name in counts:
-            _expect(report, label, f"stage '{name}'", count, counts[name])
-    for what, got, want in extras:
-        _expect(report, label, what, got, want)
-    report.survivors = _diff_rows(square, fixture["rows"], report, label)
-    if bmy:
-        fixture_bmy = {
-            _chains_key([parse_cf(s) for s in row["sings"]])
-            for row in fixture["rows"]
-            if row["no"] in fixture["bmy_rows"]
-        }
-        if survivors_bmy != fixture_bmy:
-            report.mismatches.append(
-                f"{label}: BMY survivors differ from fixture rows {fixture['bmy_rows']}"
-            )
-    return report
-
-
 def reports_of_both_scans(monkeypatch, pipeline) -> tuple[PipelineReport, PipelineReport]:
-    """The pipeline's report through _scan, then through reference_scan
-    (given its cases as a list of lists, which it reads twice)."""
+    """The pipeline's report through _scan, then through the candidate scan
+    of oracles.py (given its cases as a list of lists, which it reads
+    twice)."""
     got = pipeline()
     with monkeypatch.context() as m:
         m.setattr(
             enumeration, "_scan",
-            lambda label, fixture, cases, *args, **kwargs: reference_scan(
+            lambda label, fixture, cases, *args, **kwargs: oracles.candidate_scan(
                 label, fixture, [list(case) for case in cases], *args, **kwargs
             ),
         )
@@ -364,7 +299,7 @@ def _small_q_like_cases() -> list[list[HjCf]]:
 )
 def test_scan_matches_the_candidate_per_case_scan_on_synthetic_cases(fixture):
     cases = _small_q_like_cases()
-    want = reference_scan("synthetic", fixture, cases, "cases", bmy=True)
+    want = oracles.candidate_scan("synthetic", fixture, cases, "cases", bmy=True)
     assert want.stages[1][1] > 12 and want.stages[2][1] > 1
     # the same chain objects, reused across cases and fed lazily
     assert enumeration._scan("synthetic", fixture, iter(cases), "cases", bmy=True) == want
@@ -393,78 +328,28 @@ def test_l11_rationality_checks():
     assert by_case[4]["component_solutions"] == [[], []]
 
 
-def test_l11_calls_the_builders_through_the_module(monkeypatch):
+def test_l11_calls_the_builders_through_the_module():
     # the benchmark's tracer and dioph census wrap the module's builders;
     # the wrapped run must call them and report what the plain run does
     want = l11_rationality_checks()
-    calls = []
-    for name in ("aggregated_problem", "component_problem"):
-        real = getattr(enumeration, name)
-
-        def wrapper(*args, _real=real, _name=name, **kwargs):
-            calls.append(_name)
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(enumeration, name, wrapper)
-    got = l11_rationality_checks()
+    with oracles.recording(enumeration, "aggregated_problem") as aggregated:
+        with oracles.recording(enumeration, "component_problem") as component:
+            got = l11_rationality_checks()
     assert (got.survivors, got.mismatches, got.stages) == (
         want.survivors, want.mismatches, want.stages,
     )
     # one aggregated problem per target of cases 1, 3 and 4; the component
     # equation for cases 3 and 4, and its quadratic filter for case 3
-    assert calls.count("aggregated_problem") == 4
-    assert calls.count("component_problem") == 4
+    assert len(aggregated) == 4
+    assert len(component) == 4
 
 
-def test_l11_solves_each_problem_once(monkeypatch):
-    problems = []
-    real = enumeration.solve_dioph
-
-    def wrapper(problem):
-        problems.append(problem)
-        return real(problem)
-
-    monkeypatch.setattr(enumeration, "solve_dioph", wrapper)
-    assert l11_rationality_checks().matches_fixture
+def test_l11_solves_each_problem_once():
+    with oracles.recording(enumeration, "solve_dioph") as calls:
+        assert l11_rationality_checks().matches_fixture
+    problems = [args[0] for args, _ in calls]
     assert len(set(problems)) == len(problems) == 8
     assert not any(p.group_constraints for p in problems)
-
-
-def _grouped_component_problem(cand, target, quad_bound, group_sums):
-    """The component problem with the quadratic filter, and with each
-    chain's sum fixed where ``group_sums`` (sing index -> sum) says so."""
-    coeffs, quads, groups = [], [], []
-    for p, sing in enumerate(cand.sings):
-        members = []
-        for j, num in enumerate(sing.coeff_nums, 1):
-            if num > 0:
-                members.append(len(coeffs))
-                coeffs.append(Fraction(num, sing.q))
-                quads.append(Fraction(sing.cf.v_seq[j] * sing.cf.u_seq[j], sing.q))
-        if group_sums is not None and p in group_sums:
-            groups.append((tuple(members), group_sums[p]))
-    return DiophProblem(tuple(coeffs), target, tuple(groups), tuple(quads), quad_bound)
-
-
-def reference_quadratic_filter(cand, m_values, targets):
-    """The former rule: one search per solution of the one-variable-per-chain
-    equation, with each chain's sum fixed to it, then one search without."""
-    if len(m_values) != 1:
-        return None
-    (target,), (m,) = targets, m_values
-    quad_bound = 1 + Fraction(m * m) / cand.d_prime * cand.ks2
-    agg, agg_labels = aggregated_problem(cand, target)
-    agg_sols = solve_dioph(agg)
-    groups = [{p: agg.coeffs[i] * sol[i] for i, p in enumerate(agg_labels)} for sol in agg_sols]
-    if any(solve_dioph(_grouped_component_problem(cand, target, quad_bound, g))
-           for g in (*groups, None)):
-        return None
-    return {
-        "quad_bound": format_rational(quad_bound),
-        "agg_coeffs": [format_rational(c) for c in agg.coeffs],
-        "agg_solutions": [[list(s) for s in agg_sols]],
-        "surviving_realizations": 0,
-    }
 
 
 def test_quadratic_filter_agrees_with_the_grouped_searches():
@@ -472,7 +357,7 @@ def test_quadratic_filter_agrees_with_the_grouped_searches():
     # points of the one-variable-per-chain lattice, which have solutions
     rng = random.Random(2020)
     rows = {row["no"]: row for row in load_fixtures()["q20"]["rows"]}
-    verdicts = []
+    points = []
     for case in load_fixtures()["l11_cases"]:
         cand = candidate_invariants(list(rows[case["row"]]["sings"]), c=case["c"])
         steps = aggregated_problem(cand, Fraction(1))[0].coeffs
@@ -483,12 +368,17 @@ def test_quadratic_filter_agrees_with_the_grouped_searches():
                 point = sum(step * rng.randrange(int(2 / step) + 1) for step in steps)
                 if 0 < point <= 2:
                     targets.append(point)
-            for target in targets:
-                agg = [(p, solve_dioph(p)) for p in [aggregated_problem(cand, target)[0]]]
-                got = enumeration._quadratic_filter(cand, [m], [target], agg)
-                assert got == reference_quadratic_filter(cand, [m], [target]), (case["case"], m, target)
-                verdicts.append(got is None)
+            points += [(cand, [m], [target]) for target in targets]
+
+    def quadratic_filter(cand, m_values, targets):
+        agg = [(p, solve_dioph(p)) for p in [aggregated_problem(cand, targets[0])[0]]]
+        return enumeration._quadratic_filter(cand, m_values, targets, agg)
+
+    verdicts = [quadratic_filter(*point) is None for point in points]
     assert 0 < sum(verdicts) < len(verdicts)
+    oracles.agree(
+        lambda point: quadratic_filter(*point), lambda point: oracles.quadratic_filter(*point), points
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,7 @@
 """Chain arithmetic tests, cross-checked against independent oracles."""
 
 import types
-from fractions import Fraction
-from math import ceil, gcd
+from math import gcd
 
 import pytest
 
@@ -22,80 +21,7 @@ from qhpp.hjcf import (
     enumerate_cfs_of_order,
     parse_cf,
 )
-
-# ---------------------------------------------------------------------------
-# oracles (kept independent of the implementation under test)
-# ---------------------------------------------------------------------------
-
-
-def cf_deleted_det(cf, deleted_indices):
-    """|det| of the intersection matrix with rows/columns deleted.
-
-    ``deleted_indices`` are 1-based positions.  Deleting positions splits the
-    chain into runs, and the determinant is the product of the orders of the
-    runs (the matrix becomes block diagonal); an empty run contributes 1.
-    """
-    deleted = set(deleted_indices)
-    if not all(1 <= i <= cf.l for i in deleted):
-        raise ValueError(f"deleted positions {sorted(deleted)} out of range 1..{cf.l}")
-    det = 1
-    run = []
-    for pos, n in enumerate(cf.entries, start=1):
-        if pos in deleted:
-            det *= chain_order(run)
-            run = []
-        else:
-            run.append(n)
-    return det * chain_order(run)
-
-
-def eval_oracle(entries):
-    """Evaluate n1 - 1/(n2 - 1/...) with Fraction arithmetic."""
-    value = None
-    for n in reversed(entries):
-        value = Fraction(n) if value is None else n - 1 / value
-    return value
-
-
-def expand_oracle(q, q1):
-    """Greedy ceiling expansion of q/q1 using Fraction arithmetic."""
-    value = Fraction(q, q1)
-    entries = []
-    while True:
-        n = ceil(value)
-        entries.append(n)
-        if n == value:
-            return tuple(entries)
-        value = 1 / (n - value)
-
-
-def det_oracle(entries):
-    """|det| of the tridiagonal intersection matrix by cofactor expansion."""
-    n = len(entries)
-    if n == 0:
-        return 1
-    m = [[0] * n for _ in range(n)]
-    for i, e in enumerate(entries):
-        m[i][i] = -e
-        if i + 1 < n:
-            m[i][i + 1] = m[i + 1][i] = 1
-
-    def det(rows):
-        size = len(rows)
-        if size == 0:
-            return 1
-        if size == 1:
-            return rows[0][0]
-        total = 0
-        for j in range(size):
-            if rows[0][j] == 0:
-                continue
-            minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-            total += (-1) ** j * rows[0][j] * det(minor)
-        return total
-
-    return abs(det(m))
-
+from tests import oracles
 
 # ---------------------------------------------------------------------------
 # construction and basic accessors
@@ -133,7 +59,7 @@ def test_stored_length_and_order_over_the_suite_corpus():
     # the 6,495 chains of order 2..200 that the exhaustive suites share
     from qhpp.surface import dp_data
 
-    corpus = [cf for q in range(2, 201) for cf in enumerate_cfs_of_order(q)]
+    corpus = list(oracles.all_cfs(200))
     assert len(corpus) == 6_495
     for cf in corpus + [HjCf()]:
         assert cf.l == len(cf.entries)
@@ -150,7 +76,7 @@ def test_stored_length_and_order_over_the_suite_corpus():
 )
 def test_evaluate_examples(entries, expected):
     assert cf_evaluate(HjCf(entries)) == expected
-    value = eval_oracle(entries)
+    value = oracles.fraction_value(entries)
     assert (value.numerator, value.denominator) == expected
 
 
@@ -160,7 +86,7 @@ def test_evaluate_examples(entries, expected):
 )
 def test_from_pair_examples(pair, entries):
     assert cf_from_pair(*pair) == HjCf(entries)
-    assert expand_oracle(*pair) == tuple(entries)
+    assert oracles.greedy_expansion(*pair) == tuple(entries)
 
 
 def test_from_pair_rejects_bad_input():
@@ -178,7 +104,7 @@ def test_uv_sequences_row2_chain():
     cf = HjCf([3, 2, 2, 2, 2, 2, 2, 2, 2])
     assert cf.u_seq == (0, 1, 3, 5, 7, 9, 11, 13, 15, 17, 19)
     assert cf.v_seq == (19, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0)
-    assert cf.q1 * cf.ql == cf_deleted_det(cf, {1, cf.l}) * cf.q + 1
+    assert cf.q1 * cf.ql == oracles.cf_deleted_det(cf, {1, cf.l}) * cf.q + 1
 
 
 # ---------------------------------------------------------------------------
@@ -187,35 +113,31 @@ def test_uv_sequences_row2_chain():
 
 
 def test_deleted_det_examples():
-    assert cf_deleted_det(HjCf([3, 2]), {1}) == 2
-    assert cf_deleted_det(HjCf([7]), {1}) == 1
-    assert cf_deleted_det(HjCf([3, 2, 2, 2, 2, 2, 2, 2, 2]), set()) == 19
+    assert oracles.cf_deleted_det(HjCf([3, 2]), {1}) == 2
+    assert oracles.cf_deleted_det(HjCf([7]), {1}) == 1
+    assert oracles.cf_deleted_det(HjCf([3, 2, 2, 2, 2, 2, 2, 2, 2]), set()) == 19
 
 
 def test_deleted_det_matches_cofactor_oracle():
+    # the cofactor determinant of the intersection matrix with the rows and
+    # columns of the deleted positions taken out
     cf = HjCf([3, 2, 4, 2, 3])
-    for deleted in [set(), {1}, {3}, {5}, {2, 4}, {1, 5}, {2, 3}]:
-        kept = [n for i, n in enumerate(cf.entries, 1) if i not in deleted]
-        # oracle works on the full block-diagonal matrix via chain splitting
-        runs = []
-        run = []
-        for i, n in enumerate(cf.entries, 1):
-            if i in deleted:
-                runs.append(run)
-                run = []
-            else:
-                run.append(n)
-        runs.append(run)
-        expected = 1
-        for r in runs:
-            expected *= det_oracle(r)
-        assert cf_deleted_det(cf, deleted) == expected
-        assert sum(len(r) for r in runs) == len(kept)
+    matrix = oracles.chain_matrix(cf.entries)
+
+    def minor_det(deleted):
+        kept = [i for i in range(cf.l) if i + 1 not in deleted]
+        return abs(oracles.cofactor_det([[matrix[i][j] for j in kept] for i in kept]))
+
+    oracles.agree(
+        lambda deleted: oracles.cf_deleted_det(cf, deleted),
+        minor_det,
+        [set(), {1}, {3}, {5}, {2, 4}, {1, 5}, {2, 3}],
+    )
 
 
 def test_deleted_det_rejects_out_of_range():
     with pytest.raises(ValueError):
-        cf_deleted_det(HjCf([3, 2]), {3})
+        oracles.cf_deleted_det(HjCf([3, 2]), {3})
 
 
 def test_reverse_and_canonical():
@@ -303,19 +225,11 @@ def test_enumerate_by_shape():
 
 
 def test_enumerate_by_shape_against_raw_compositions():
-    def raw(length, total):
-        if length == 1:
-            return [(total,)] if total >= 2 else []
-        out = []
-        for first in range(2, total - 2 * (length - 1) + 1):
-            out.extend((first,) + rest for rest in raw(length - 1, total - first))
-        return out
-
-    for length, trace in [(3, 8), (4, 10), (5, 13), (5, 12)]:
-        seqs = raw(length, trace)
-        classes = {min(s, s[::-1]) for s in seqs}
-        got = enumerate_cfs_by_shape(length, trace)
-        assert {c.entries for c in got} == classes
+    oracles.agree(
+        lambda shape: {c.entries for c in enumerate_cfs_by_shape(*shape)},
+        lambda shape: oracles.shape_classes(*shape),
+        [(3, 8), (4, 10), (5, 13), (5, 12)],
+    )
 
 
 def test_parse_cf_forms():
@@ -348,13 +262,8 @@ def test_parse_cf_is_a_plain_function_over_a_bounded_memo():
 # ---------------------------------------------------------------------------
 
 
-def all_cfs(q_max):
-    for q in range(2, q_max + 1):
-        yield from enumerate_cfs_of_order(q)
-
-
 def test_recurrences_and_cross_identity_small():
-    for cf in all_cfs(60):
+    for cf in oracles.all_cfs(60):
         q, l, u, v, n = cf.q, cf.l, cf.u_seq, cf.v_seq, cf.entries
         assert u[0] == 0 and u[1] == 1 and v[l] == 1 and v[l + 1] == 0
         assert u[l + 1] == q and v[0] == q
@@ -366,21 +275,27 @@ def test_recurrences_and_cross_identity_small():
             assert v[j] * u[j + 1] - v[j + 1] * u[j] == q
         assert gcd(cf.q, cf.q1) == 1
         if l >= 2:
-            assert cf.q1 * cf.ql == cf_deleted_det(cf, {1, l}) * q + 1
+            assert cf.q1 * cf.ql == oracles.cf_deleted_det(cf, {1, l}) * q + 1
 
 
 def test_round_trip_small():
-    for cf in all_cfs(60):
+    for cf in oracles.all_cfs(60):
         assert cf_from_pair(cf.q, cf.q1) == cf
         assert cf_evaluate(cf.reverse()) == (cf.q, cf.ql)
 
 
 def test_evaluation_matches_fraction_oracle_small():
-    for cf in all_cfs(40):
-        value = eval_oracle(cf.entries)
-        assert (value.numerator, value.denominator) == (cf.q, cf.q1)
-        if cf.l <= 8:
-            assert det_oracle(cf.entries) == cf.q
+    chains = list(oracles.all_cfs(40))
+    oracles.agree(
+        lambda cf: (cf.q, cf.q1),
+        lambda cf: oracles.fraction_value(cf.entries).as_integer_ratio(),
+        chains,
+    )
+    oracles.agree(
+        lambda cf: cf.q,
+        lambda cf: abs(oracles.cofactor_det(oracles.chain_matrix(cf.entries))),
+        [cf for cf in chains if cf.l <= 8],
+    )
 
 
 def test_chain_shape_matches_the_chain():

@@ -1,29 +1,14 @@
-"""The integer paths of the kernel against the Fraction code they replaced.
-
-The reference functions below are the former bodies of the grid oracle
-`checks._brute_force_dioph`, of `obstruction.solve_dioph` (which filtered
-its solutions in `Fraction`s after the search), of Dp.K and the adjunction
-coefficients in `surface.dp_data`, of `surface.candidate_invariants` and
-`bmy_status`, of `obstruction.degree_sum`, `esq_formula` and
-`esq_two_component`, of the
-two bounds of `checks.check_prop_int_inequalities`, of the dense form in
-`checks.check_dp_closed_form`, of the unit and pair loop of
-`checks.check_uv_inequalities`, of the recurrences in `HjCf.__init__` and of
-`enumeration.enumerate_order_tuples` (over the full a/b/c box) and of
-`ratio.format_rational`, which copied its argument into a Fraction.  Each works
-term by term in `Fraction` arithmetic (or, for the uv loop, through the
-general predicate `holds`, and for the chain sequences, by list indexing).
-"""
+"""The integer paths of the kernel against the Fraction code they replaced
+(the oracles of ``tests/oracles.py``), on the corpora the suites, the
+pipelines and the CLI build."""
 
 import contextlib
 import io
 import json
-import math
 import random
 import types
 from fractions import Fraction
-from itertools import product
-from math import gcd, lcm
+from operator import itemgetter
 from types import SimpleNamespace
 
 import pytest
@@ -39,7 +24,6 @@ from qhpp.obstruction import (
     degree_sum,
     esq_formula,
     esq_two_component,
-    local_discrepancy,
     solve_dioph,
 )
 from qhpp.ratio import _format_over, format_rational
@@ -50,297 +34,24 @@ from qhpp.surface import (
     candidate_to_dict,
     dp_data,
 )
-
-# ---------------------------------------------------------------------------
-# the former Fraction code
-# ---------------------------------------------------------------------------
-
-
-def reference_brute_force_dioph(problem: DiophProblem) -> list[tuple[int, ...]]:
-    bounds = [int(problem.target / c) for c in problem.coeffs]
-    out = []
-    for vec in product(*(range(b + 1) for b in bounds)):
-        total = sum((c * x for c, x in zip(problem.coeffs, vec)), start=Fraction(0))
-        if total != problem.target:
-            continue
-        ok = all(
-            sum((problem.coeffs[i] * vec[i] for i in idx), start=Fraction(0)) == exact
-            for idx, exact in problem.group_constraints
-        )
-        if ok and problem.quad_coeffs is not None:
-            qsum = sum(
-                (qc * x * x for qc, x in zip(problem.quad_coeffs, vec)),
-                start=Fraction(0),
-            )
-            ok = qsum <= problem.quad_bound
-        if ok:
-            out.append(vec)
-    return out
-
-
-def reference_solve_dioph(problem: DiophProblem) -> list[tuple[int, ...]]:
-    """Enumerate in cleared integers, then filter every solution in Fractions
-    (the node budget left out)."""
-    n = len(problem.coeffs)
-    den = lcm(problem.target.denominator, *(c.denominator for c in problem.coeffs))
-    cleared = [int(c * den) for c in problem.coeffs]
-    target = problem.target * den
-    if target < 0:
-        return []
-    solutions: list[tuple[int, ...]] = []
-    vec = [0] * n
-
-    def dfs(i: int, remaining: int) -> None:
-        if i == n - 1:
-            if remaining % cleared[i] == 0:
-                vec[i] = remaining // cleared[i]
-                solutions.append(tuple(vec))
-            return
-        step = cleared[i]
-        for x in range(remaining // step + 1):
-            vec[i] = x
-            dfs(i + 1, remaining - x * step)
-
-    dfs(0, int(target))
-
-    def keep(sol: tuple[int, ...]) -> bool:
-        for idx, exact in problem.group_constraints:
-            got = sum((problem.coeffs[i] * sol[i] for i in idx), start=Fraction(0))
-            if got != exact:
-                return False
-        if problem.quad_coeffs is not None:
-            qsum = sum(
-                (qc * x * x for qc, x in zip(problem.quad_coeffs, sol)),
-                start=Fraction(0),
-            )
-            if qsum > problem.quad_bound:
-                return False
-        return True
-
-    return [s for s in solutions if keep(s)]
-
-
-def reference_coeffs(cf: HjCf) -> tuple[Fraction, ...]:
-    """The adjunction coefficients 1 - (v_j + u_j)/q of the chain."""
-    return tuple(
-        1 - Fraction(cf.v_seq[j] + cf.u_seq[j], cf.q) for j in range(1, cf.l + 1)
-    )
-
-
-def reference_dp_dot_k(cf: HjCf) -> Fraction:
-    coeffs = reference_coeffs(cf)
-    return sum((c * (n - 2) for c, n in zip(coeffs, cf.entries)), start=Fraction(0))
-
-
-def reference_candidate_invariants(cfs: list[HjCf], c: int = 1) -> tuple:
-    """(K^2, D, e_orb, D', L, det R) as running Fraction sums."""
-    data = [dp_data(cf) for cf in cfs]
-    L = sum(s.l for s in data)
-    det_r = 1
-    for s in data:
-        det_r *= s.q
-    ks2 = (9 - L) + sum((reference_dp_dot_k(s.cf) for s in data), start=Fraction(0))
-    e_orb = 3 - sum((1 - Fraction(1, s.q) for s in data), start=Fraction(0))
-    return ks2, det_r * ks2, e_orb, Fraction(det_r * ks2, c * c), L, det_r
-
-
-def reference_bmy_status(ks2: Fraction, e_orb: Fraction) -> BmyStatus:
-    if e_orb < 0:
-        return BmyStatus.E_ORB_NEGATIVE
-    if ks2 <= 0:
-        return BmyStatus.OK
-    if ks2 <= 3 * e_orb:
-        return BmyStatus.OK_K_AMPLE
-    return BmyStatus.VIOLATES_K_AMPLE
-
-
-def reference_chain_sequences(entries: tuple[int, ...]) -> tuple[tuple, tuple]:
-    """(u, v) of a chain by the list-indexing recurrences."""
-    u = [0, 1]
-    for n in entries:
-        u.append(n * u[-1] - u[-2])
-    w = [0, 1]
-    for n in reversed(entries):
-        w.append(n * w[-1] - w[-2])
-    return tuple(u), tuple(reversed(w))
-
-
-def reference_degree_sum(curve: CurveClass) -> Fraction:
-    total = Fraction(0)
-    for sing, row in zip(curve.cand.sings, curve.incidence.rows):
-        for coeff, ea in zip(reference_coeffs(sing.cf), row):
-            if ea:
-                total += coeff * ea
-    return total
-
-
-def _reference_lead(curve: CurveClass) -> Fraction:
-    if curve.m == 0:
-        return Fraction(0)
-    return Fraction(curve.m * curve.m) / curve.cand.d_prime * curve.cand.ks2
-
-
-def reference_esq_formula(curve: CurveClass) -> Fraction:
-    total = Fraction(0)
-    for sing, row in zip(curve.cand.sings, curve.incidence.rows):
-        for j in range(1, sing.l + 1):
-            ea = row[j - 1]
-            if ea:
-                total += local_discrepancy(sing, row, j) * ea
-    return _reference_lead(curve) - total
-
-
-def reference_esq_two_component(curve: CurveClass) -> Fraction:
-    total = Fraction(0)
-    for sing, row in zip(curve.cand.sings, curve.incidence.rows):
-        support = [j for j in range(1, sing.l + 1) if row[j - 1]]
-        assert len(support) <= 2
-        cf, q = sing.cf, sing.q
-        if len(support) >= 1:
-            s = support[0]
-            ea_s = row[s - 1]
-            total += Fraction(cf.v_seq[s] * cf.u_seq[s], q) * ea_s * ea_s
-        if len(support) == 2:
-            s, t = support
-            ea_s, ea_t = row[s - 1], row[t - 1]
-            total += Fraction(cf.v_seq[t] * cf.u_seq[t], q) * ea_t * ea_t
-            total += 2 * Fraction(cf.v_seq[t] * cf.u_seq[s], q) * ea_s * ea_t
-    return _reference_lead(curve) - total
-
-
-def reference_relaxed_ek_bound(curve: CurveClass) -> Fraction:
-    cand, inc = curve.cand, curve.incidence
-    return -sum(
-        (1 - Fraction(2, s.cf.entries[j - 1])) * inc.rows[p][j - 1]
-        for p, s in enumerate(cand.sings)
-        for j in range(1, s.l + 1)
-    )
-
-
-def reference_diagonal_esq_bound(curve: CurveClass) -> Fraction:
-    cand, inc = curve.cand, curve.incidence
-    return -sum(
-        Fraction(s.cf.v_seq[j] * s.cf.u_seq[j], s.q) * inc.rows[p][j - 1] ** 2
-        for p, s in enumerate(cand.sings)
-        for j in range(1, s.l + 1)
-    )
-
-
-def reference_dense_dp_sq(cf: HjCf) -> Fraction:
-    coeffs, n, l = reference_coeffs(cf), cf.entries, cf.l
-    dense = Fraction(0)
-    for i in range(l):
-        for j in range(l):
-            if i == j:
-                dense += coeffs[i] * coeffs[j] * (-n[i])
-            elif abs(i - j) == 1:
-                dense += coeffs[i] * coeffs[j]
-    return dense
-
-
-def reference_uv_failures(cf) -> list[str]:
-    holds, l, bad = checks._uv_holds, cf.l, []
-    for j in range(1, l + 1):
-        if not holds(cf, {j: 1}) or not holds(cf, {j: 2}) or not holds(cf, {j: 3}):
-            bad.append(f"{cf}: unit z at {j}")
-    if l <= 30:
-        for i in range(1, l + 1):
-            for j in range(i + 1, l + 1):
-                if not holds(cf, {i: 1, j: 1}):
-                    bad.append(f"{cf}: pair z at {i},{j}")
-    return bad
-
-
-def reference_enumerate_order_tuples() -> list[enumeration.OrderTupleFamily]:
-    """The order-tuple families from Fraction sums over the full a/b/c box."""
-    families = []
-    for a in range(2, 5):
-        for b in range(a + 1, 31):
-            if gcd(a, b) != 1:
-                continue
-            for c in range(b + 1, 61):
-                if gcd(c, a) != 1 or gcd(c, b) != 1:
-                    continue
-                s = Fraction(1, a) + Fraction(1, b) + Fraction(1, c)
-                modulus = a * b * c
-                if s >= 1:
-                    free_min = next(
-                        q for q in range(c + 1, 10 * modulus) if gcd(q, modulus) == 1
-                    )
-                    families.append(
-                        enumeration.OrderTupleFamily((a, b, c), free_min, None, modulus)
-                    )
-                    continue
-                d_max = math.floor(1 / (1 - s))
-                ds = [q for q in range(c + 1, d_max + 1) if gcd(q, modulus) == 1]
-                if not ds:
-                    continue
-                if len(ds) == 1:
-                    families.append(enumeration.OrderTupleFamily((a, b, c, ds[0])))
-                else:
-                    families.append(
-                        enumeration.OrderTupleFamily((a, b, c), ds[0], ds[-1], modulus)
-                    )
-    return families
-
-
-def reference_format_rational(x) -> str:
-    f = Fraction(x)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
-
-
-# ---------------------------------------------------------------------------
-# corpora
-# ---------------------------------------------------------------------------
-
-
-def recorded_calls(monkeypatch, module, name: str, run) -> list:
-    """The first argument of every call `run` makes to module.name."""
-    seen = []
-    real = getattr(module, name)
-
-    def record(arg, *rest):
-        seen.append(arg)
-        return real(arg, *rest)
-
-    monkeypatch.setattr(module, name, record)
-    run()
-    monkeypatch.setattr(module, name, real)
-    return seen
-
-
-def recorded_results(monkeypatch, module, name: str, run) -> list:
-    """The return value of every call `run` makes to module.name."""
-    seen = []
-    real = getattr(module, name)
-
-    def record(*args, **kwargs):
-        seen.append(real(*args, **kwargs))
-        return seen[-1]
-
-    monkeypatch.setattr(module, name, record)
-    run()
-    monkeypatch.setattr(module, name, real)
-    return seen
-
+from tests import oracles
 
 # ---------------------------------------------------------------------------
 # the grid oracle
 # ---------------------------------------------------------------------------
 
 
-def test_integer_grid_oracle_matches_the_fraction_grid(monkeypatch):
+def test_integer_grid_oracle_matches_the_fraction_grid():
     # the problems check_dioph_oracle draws, rebuilt by running it with
     # solve_dioph recorded: the 5 recorded instances and 1,000 seeded ones
-    problems = recorded_calls(monkeypatch, checks, "solve_dioph", checks.check_dioph_oracle)
+    with oracles.recording(checks, "solve_dioph") as calls:
+        assert checks.check_dioph_oracle().ok
+    problems = [args[0] for args, _ in calls]
     assert len(problems) == len(checks.REFERENCE_DIOPH_INSTANCES) + 1_000
     assert problems[:5] == checks.REFERENCE_DIOPH_INSTANCES
     assert sum(p.quad_coeffs is not None for p in problems) > 200
     assert sum(bool(p.group_constraints) for p in problems) > 100
-    for prob in problems:
-        assert checks._brute_force_dioph(prob) == reference_brute_force_dioph(prob), prob
+    oracles.agree(checks._brute_force_dioph, oracles.fraction_grid, problems)
 
 
 def test_integer_grid_oracle_on_edge_cases():
@@ -353,8 +64,7 @@ def test_integer_grid_oracle_on_edge_cases():
         DiophProblem((third, half), Fraction(3), quad_coeffs=(half, third), quad_bound=Fraction(-1)),
         DiophProblem((third, half), Fraction(3), quad_coeffs=(half, Fraction(2, 7)), quad_bound=Fraction(9, 5)),
     ]
-    for prob in cases:
-        assert checks._brute_force_dioph(prob) == reference_brute_force_dioph(prob), prob
+    oracles.agree(checks._brute_force_dioph, oracles.fraction_grid, cases)
 
 
 # ---------------------------------------------------------------------------
@@ -392,10 +102,11 @@ def _seeded_problems(seed: int, count: int) -> list[DiophProblem]:
 
 def test_solver_matches_the_fraction_solver_and_the_grid_on_seeded_problems():
     problems = _seeded_problems(1414, 2_000)
+    oracles.agree(solve_dioph, oracles.plain_search, problems)
+    oracles.agree(solve_dioph, lambda prob: sorted(checks._brute_force_dioph(prob)), problems)
     kept = filtered = 0
     for prob in problems:
         got = solve_dioph(prob)
-        assert got == reference_solve_dioph(prob) == sorted(checks._brute_force_dioph(prob)), prob
         unfiltered = solve_dioph(DiophProblem(prob.coeffs, prob.target))
         kept += bool(got) and (bool(prob.group_constraints) or prob.quad_coeffs is not None)
         filtered += len(unfiltered) > len(got)
@@ -418,7 +129,7 @@ def test_solver_on_edge_cases():
         (DiophProblem((half, third), Fraction(-1, 6)), []),
     ]
     for prob, want in cases:
-        assert solve_dioph(prob) == reference_solve_dioph(prob) == want, prob
+        assert solve_dioph(prob) == oracles.plain_search(prob) == want, prob
         assert sorted(checks._brute_force_dioph(prob)) == want, prob
 
 
@@ -451,20 +162,26 @@ def test_dp_data_is_a_plain_function_over_a_memo():
     assert dp_data(cf) is record
 
 
+def _dp_dot_k(cf: HjCf) -> Fraction:
+    return Fraction(dp_data(cf).dp_dot_k_num, cf.q)
+
+
 def test_dp_data_matches_the_fraction_sums_on_every_chain():
-    for cf in checks._all_cfs(200):
-        data = dp_data(cf)
-        dot_k = Fraction(data.dp_dot_k_num, cf.q)
-        assert dot_k == reference_dp_dot_k(cf), cf
-        assert tuple(Fraction(n, cf.q) for n in data.coeff_nums) == reference_coeffs(cf)
-        if cf.l <= 12:
-            assert reference_dense_dp_sq(cf) == -dot_k, cf
+    chains = checks._all_cfs(200)
+    oracles.agree(_dp_dot_k, oracles.dp_dot_k, chains)
+    oracles.agree(
+        lambda cf: tuple(Fraction(n, cf.q) for n in dp_data(cf).coeff_nums),
+        oracles.adjunction_coeffs,
+        chains,
+    )
+    oracles.agree(lambda cf: -_dp_dot_k(cf), oracles.dense_dp_sq, [cf for cf in chains if cf.l <= 12])
 
 
 def test_dp_data_keeps_the_integer_numerator_of_dp_dot_k():
+    # its value is compared with the Fraction sum in
+    # test_dp_data_matches_the_fraction_sums_on_every_chain
     for cf in checks._all_cfs(200):
         data = dp_data(cf)
-        assert data.dp_dot_k_num == reference_dp_dot_k(cf) * cf.q, cf
         # integers only: no field of the record is a Fraction
         assert data.d_term == data.dp_dot_k_num - cf.l * cf.q, cf
         assert [
@@ -501,48 +218,57 @@ def _rows(cf: HjCf) -> list[tuple[int, ...]]:
     return rows
 
 
+def _curve_forms_agree(curves: list[CurveClass]) -> None:
+    """The three curve forms against their oracles, the two-component form
+    on the curves with at most two hits on each chain."""
+    oracles.agree(degree_sum, oracles.degree_sum, curves)
+    oracles.agree(esq_formula, oracles.esq_formula, curves)
+    oracles.agree(esq_two_component, oracles.esq_two_component, [
+        curve for curve in curves
+        if all(sum(1 for x in row if x) <= 2 for row in curve.incidence.rows)
+    ])
+
+
 def test_curve_forms_match_the_fraction_sums_on_every_chain():
+    curves = []
     for cf in checks._all_cfs(200):
         cand = candidate_invariants([HjCf([2]), cf])
-        for row in _rows(cf):
-            curve = CurveClass(0, cand, Incidence(((1,), row)))
-            assert degree_sum(curve) == reference_degree_sum(curve), (cf, row)
-            assert esq_formula(curve) == reference_esq_formula(curve), (cf, row)
-            if sum(1 for x in row if x) <= 2:
-                assert esq_two_component(curve) == reference_esq_two_component(curve), (cf, row)
+        curves += [CurveClass(0, cand, Incidence(((1,), row))) for row in _rows(cf)]
+    _curve_forms_agree(curves)
 
 
 def test_curve_forms_with_a_leading_term():
     # D = 9216 = 96^2 for the first table1 row
     cand = candidate_invariants(["[2]", "[2,2]", "[7]", "[13]"])
-    for m in (1, 2, 5):
-        for inc in (Incidence.from_hits(cand, {}), Incidence(((1,), (0, 2), (1,), (3,)))):
-            curve = CurveClass(m, cand, inc)
-            assert esq_formula(curve) == reference_esq_formula(curve) != 0
-            assert esq_two_component(curve) == reference_esq_two_component(curve)
-            assert degree_sum(curve) == reference_degree_sum(curve)
+    curves = [
+        CurveClass(m, cand, inc)
+        for m in (1, 2, 5)
+        for inc in (Incidence.from_hits(cand, {}), Incidence(((1,), (0, 2), (1,), (3,))))
+    ]
+    assert all(oracles.esq_formula(curve) != 0 for curve in curves)
+    _curve_forms_agree(curves)
+
+
+def _suite_curves(suite: str, *names: str) -> list[CurveClass]:
+    """The curves the suite passes to each of the named functions."""
+    with contextlib.ExitStack() as stack:
+        calls = [stack.enter_context(oracles.recording(checks, name)) for name in names]
+        getattr(checks, suite)()
+    return [args[0] for made in calls for args, _ in made]
 
 
 @pytest.mark.parametrize("suite", ["check_esq_identity", "check_prop_int_inequalities"])
-def test_curve_forms_match_on_the_seeded_corpora(monkeypatch, suite):
-    curves = recorded_calls(monkeypatch, checks, "esq_formula", getattr(checks, suite))
-    curves += recorded_calls(monkeypatch, checks, "degree_sum", getattr(checks, suite))
+def test_curve_forms_match_on_the_seeded_corpora(suite):
+    curves = _suite_curves(suite, "esq_formula", "degree_sum")
     assert len(curves) > 5_000
-    for curve in curves:
-        assert esq_formula(curve) == reference_esq_formula(curve)
-        assert degree_sum(curve) == reference_degree_sum(curve)
-        if all(sum(1 for x in row if x) <= 2 for row in curve.incidence.rows):
-            assert esq_two_component(curve) == reference_esq_two_component(curve)
+    _curve_forms_agree(curves)
 
 
-def test_prop_int_bounds_match_the_fraction_sums_on_the_seeded_corpus(monkeypatch):
-    curves = recorded_calls(
-        monkeypatch, checks, "esq_formula", checks.check_prop_int_inequalities
-    )
+def test_prop_int_bounds_match_the_fraction_sums_on_the_seeded_corpus():
+    curves = _suite_curves("check_prop_int_inequalities", "esq_formula")
     assert len(curves) == 2_000
-    for curve in curves:
-        assert checks._relaxed_ek_bound(curve) == reference_relaxed_ek_bound(curve)
-        assert checks._diagonal_esq_bound(curve) == reference_diagonal_esq_bound(curve)
+    oracles.agree(checks._relaxed_ek_bound, oracles.relaxed_ek_bound, curves)
+    oracles.agree(checks._diagonal_esq_bound, oracles.diagonal_esq_bound, curves)
 
 
 # ---------------------------------------------------------------------------
@@ -553,27 +279,25 @@ def test_prop_int_bounds_match_the_fraction_sums_on_the_seeded_corpus(monkeypatc
 def test_uv_integer_predicates_agree_with_holds_on_every_chain():
     chains = [cf for cf in checks._all_cfs(200) if cf.l >= 5]
     assert len(chains) == 4596
-    for cf in chains:
-        assert checks._uv_chain_failures(cf) == reference_uv_failures(cf) == []
+    oracles.agree(checks._uv_chain_failures, oracles.uv_failures, chains)
+    assert not any(map(checks._uv_chain_failures, chains))
 
 
 def test_uv_integer_predicates_agree_with_holds_where_they_fail():
     # u and v sequences shrunk so that the products u_j v_j fall behind the
     # sums u_j + v_j: both sides must name the same unit and pair failures
-    seen = 0
-    for cf in checks._all_cfs(60):
-        if cf.l < 5:
-            continue
-        for cut in (1, 2, 3):
-            fake = SimpleNamespace(
-                l=cf.l,
-                u_seq=tuple(max(0, x - cut) for x in cf.u_seq),
-                v_seq=tuple(max(0, x - cut) for x in cf.v_seq),
-            )
-            got = checks._uv_chain_failures(fake)
-            assert got == reference_uv_failures(fake), (cf, cut)
-            seen += len(got)
-    assert seen > 1_000
+    fakes = [
+        SimpleNamespace(
+            l=cf.l,
+            u_seq=tuple(max(0, x - cut) for x in cf.u_seq),
+            v_seq=tuple(max(0, x - cut) for x in cf.v_seq),
+        )
+        for cf in checks._all_cfs(60)
+        if cf.l >= 5
+        for cut in (1, 2, 3)
+    ]
+    oracles.agree(checks._uv_chain_failures, oracles.uv_failures, fakes)
+    assert sum(len(checks._uv_chain_failures(fake)) for fake in fakes) > 1_000
 
 
 # ---------------------------------------------------------------------------
@@ -581,58 +305,49 @@ def test_uv_integer_predicates_agree_with_holds_where_they_fail():
 # ---------------------------------------------------------------------------
 
 
-def _seeded_candidates(monkeypatch) -> tuple[list, list]:
-    """The D of every case the candidate scans test, as (chains, (det R, D)),
-    and every candidate the seven pipelines and the three random suites
-    build."""
-    tested = []
-    real = enumeration._det_and_d
-
-    def record(data):
-        tested.append(([s.cf for s in data], real(data)))
-        return tested[-1][1]
-
-    def pipelines():
-        monkeypatch.setattr(enumeration, "_det_and_d", record)
-        for fn in enumeration.PIPELINES.values():
-            fn()
-        monkeypatch.setattr(enumeration, "_det_and_d", real)
-
-    def suites():
+def _seeded_candidates() -> tuple[list, list]:
+    """The dp_data records of every case the candidate scans test, and every
+    candidate the seven pipelines and the three random suites build."""
+    with oracles.recording(enumeration, "candidate_invariants") as built:
+        with oracles.recording(enumeration, "_det_and_d") as tested:
+            for fn in enumeration.PIPELINES.values():
+                fn()
+    with oracles.recording(checks, "candidate_invariants") as drawn:
         checks.check_esq_identity()
         checks.check_prop_int_inequalities()
         checks.check_reversal_invariance()
-
-    cands = recorded_results(
-        monkeypatch, enumeration, "candidate_invariants", pipelines
-    ) + recorded_results(monkeypatch, checks, "candidate_invariants", suites)
-    return tested, cands
+    return [args[0] for args, _ in tested], [cand for _, cand in built + drawn]
 
 
-def test_candidate_invariants_match_the_fraction_sums_on_the_seeded_corpora(monkeypatch):
-    tested, cands = _seeded_candidates(monkeypatch)
+def _invariants(cand) -> tuple:
+    """(K^2, D, e_orb, D', L, det R, E) of a candidate."""
+    return cand.ks2, cand.D, cand.e_orb, cand.d_prime, cand.L, cand.det_r, cand.E
+
+
+def _fraction_invariants(cand) -> tuple:
+    """(K^2, D, e_orb, D', L, det R, E) of the candidate's chains, in
+    Fractions."""
+    ref = oracles.candidate_invariants([s.cf for s in cand.sings], cand.c)
+    return (*ref, ref[5] * ref[2])
+
+
+def test_candidate_invariants_match_the_fraction_sums_on_the_seeded_corpora():
+    tested, cands = _seeded_candidates()
     # table1, q20 and small-q test 1,092 + 126 + 240 cases; the suites build
     # 10,000 + 2,000 + 3 x 500 candidates, and the pipelines the rest
     assert len(tested) == 1_458
     assert len(tested) + len(cands) > 13_500 + 1_000
-    for cfs, (det_r, d) in tested:
-        ref = reference_candidate_invariants(cfs)
-        assert (d, det_r) == (ref[1], ref[5]), cfs
-        assert type(d) is int
+    oracles.agree(
+        enumeration._det_and_d,
+        lambda data: itemgetter(5, 1)(oracles.candidate_invariants([s.cf for s in data])),
+        tested,
+    )
+    assert all(type(enumeration._det_and_d(data)[1]) is int for data in tested)
     assert {cand.c for cand in cands} == {1, 2, 3}
-    classes = set()
-    for cand in cands:
-        ref = reference_candidate_invariants([s.cf for s in cand.sings], cand.c)
-        got = (cand.ks2, cand.D, cand.e_orb, cand.d_prime, cand.L, cand.det_r)
-        assert got == ref, cand
-        status = bmy_status(cand)
-        assert status is reference_bmy_status(ref[0], ref[2]), cand
-        assert type(cand.D) is int and type(cand.E) is int
-        assert (cand.D, cand.E) == (ref[1], cand.det_r * ref[2])
-        classes.add(status)
-    assert classes == set(BmyStatus)
-
-
+    oracles.agree(_invariants, _fraction_invariants, cands)
+    oracles.agree(bmy_status, lambda cand: oracles.bmy_status(cand.ks2, cand.e_orb), cands)
+    assert all(type(cand.D) is int and type(cand.E) is int for cand in cands)
+    assert set(map(bmy_status, cands)) == set(BmyStatus)
 @pytest.mark.parametrize(
     ("sings", "D", "E", "status"),
     [
@@ -648,7 +363,7 @@ def test_candidate_invariants_match_the_fraction_sums_on_the_seeded_corpora(monk
 def test_bmy_status_on_the_boundaries(sings, D, E, status):
     cand = candidate_invariants(sings)
     assert (cand.D, cand.E) == (D, E)
-    assert bmy_status(cand) is status is reference_bmy_status(cand.ks2, cand.e_orb)
+    assert bmy_status(cand) is status is oracles.bmy_status(cand.ks2, cand.e_orb)
 
 
 # ---------------------------------------------------------------------------
@@ -656,15 +371,16 @@ def test_bmy_status_on_the_boundaries(sings, D, E, status):
 # ---------------------------------------------------------------------------
 
 
+def _sequences(entries: tuple[int, ...]) -> tuple[tuple, tuple]:
+    chain = HjCf(entries)
+    return chain.u_seq, chain.v_seq
+
+
 def test_chain_sequences_match_the_indexed_recurrences_on_every_chain():
-    count = 0
-    for cf in checks._all_cfs(200):
-        for entries in (cf.entries, cf.entries[::-1]):
-            chain = HjCf(entries)
-            assert (chain.u_seq, chain.v_seq) == reference_chain_sequences(entries), entries
-            count += 1
-    assert count > 10_000
-    assert (HjCf().u_seq, HjCf().v_seq) == reference_chain_sequences(()) == ((0, 1), (1, 0))
+    entries = [e for cf in checks._all_cfs(200) for e in (cf.entries, cf.entries[::-1])]
+    assert len(entries) > 10_000
+    oracles.agree(_sequences, oracles.chain_sequences, entries + [()])
+    assert oracles.chain_sequences(()) == ((0, 1), (1, 0))
 
 
 @pytest.mark.parametrize(
@@ -684,7 +400,7 @@ def test_chain_entry_below_two_keeps_its_error_text(entries, shown):
 
 def test_order_tuple_families_match_the_fraction_loop():
     families = enumeration.enumerate_order_tuples()
-    assert families == reference_enumerate_order_tuples()
+    assert families == oracles.order_tuple_families()
     assert [f.fixed_orders for f in families] == [(2, 3, 5), (2, 3, 7), (2, 3, 11, 13)]
 
 
@@ -704,13 +420,12 @@ def test_order_tuple_families_match_the_fraction_loop():
     ],
 )
 def test_format_rational_matches_the_fraction_copy(x, shown):
-    assert format_rational(x) == reference_format_rational(x) == shown
+    assert format_rational(x) == oracles.format_rational(x) == shown
 
 
 def test_numerator_over_a_denominator_matches_the_fraction():
-    for den in range(1, 61):
-        for num in range(-3 * den, 3 * den + 1):
-            assert _format_over(num, den) == format_rational(Fraction(num, den)), (num, den)
+    pairs = [(num, den) for den in range(1, 61) for num in range(-3 * den, 3 * den + 1)]
+    oracles.agree(lambda p: _format_over(*p), lambda p: oracles.format_rational(Fraction(*p)), pairs)
     big = 2**70 * 3**5
     assert _format_over(-big, 6 * 2**70) == "-81/2"
 
@@ -724,22 +439,30 @@ def test_cf_info_prints_the_fraction_values_on_every_chain():
     assert set(codes) == {0}
     lines = out.getvalue().splitlines()
     assert len(lines) == len(cfs) > 12_000
-    for cf, line in zip(cfs, lines):
-        got = json.loads(line)
-        dot_k = reference_dp_dot_k(cf)
-        assert got["dp_coeffs"] == [format_rational(c) for c in reference_coeffs(cf)], cf
-        assert got["dp_dot_k"] == format_rational(dot_k), cf
-        assert got["dp_sq"] == format_rational(-dot_k), cf
-        assert got["ep_sq"] == format_rational(Fraction(-cf.ql, cf.q)), cf
+
+    def fraction_values(cf: HjCf) -> tuple:
+        dot_k, show = oracles.dp_dot_k(cf), oracles.format_rational
+        coeffs = [show(c) for c in oracles.adjunction_coeffs(cf)]
+        return coeffs, show(dot_k), show(-dot_k), show(Fraction(-cf.ql, cf.q))
+
+    # each printed line against the Fraction values of its chain
+    oracles.agree(
+        lambda pair: itemgetter("dp_coeffs", "dp_dot_k", "dp_sq", "ep_sq")(json.loads(pair[1])),
+        lambda pair: fraction_values(pair[0]),
+        zip(cfs, lines),
+    )
 
 
-def test_candidate_to_dict_prints_the_fraction_values_on_the_seeded_corpora(monkeypatch):
-    _, cands = _seeded_candidates(monkeypatch)
-    for cand in cands:
-        got = candidate_to_dict(cand)
-        assert got["ks2"] == format_rational(Fraction(cand.D, cand.det_r)), cand
-        assert got["three_e_orb"] == format_rational(3 * Fraction(cand.E, cand.det_r)), cand
-        assert got["D"] == format_rational(Fraction(cand.D)), cand
+def test_candidate_to_dict_prints_the_fraction_values_on_the_seeded_corpora():
+    _, cands = _seeded_candidates()
+    show = oracles.format_rational
+    oracles.agree(
+        lambda cand: itemgetter("ks2", "three_e_orb", "D")(candidate_to_dict(cand)),
+        lambda cand: (
+            show(Fraction(cand.D, cand.det_r)), show(3 * Fraction(cand.E, cand.det_r)), show(cand.D),
+        ),
+        cands,
+    )
     # both signs of K^2 and of e_orb, and integral and proper values of each
     assert {cand.D > 0 for cand in cands} == {cand.E > 0 for cand in cands} == {True, False}
     assert {cand.D % cand.det_r == 0 for cand in cands} == {True, False}

@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import lcm, prod
+from math import prod
 
 import pytest
 
@@ -28,31 +28,9 @@ from qhpp.obstruction import (
     solve_dioph,
 )
 from qhpp.surface import candidate_invariants, dp_data
+from tests import oracles
 
 ROW2 = ["[2]", "[2,2]", "[7]", "[3,2,2,2,2,2,2,2,2]"]
-
-
-def brute_force(problem):
-    bounds = [int(problem.target / c) for c in problem.coeffs]
-    out = []
-    for vec in product(*(range(b + 1) for b in bounds)):
-        total = sum((c * x for c, x in zip(problem.coeffs, vec)), start=Fraction(0))
-        if total != problem.target:
-            continue
-        if any(
-            sum((problem.coeffs[i] * vec[i] for i in idx), start=Fraction(0)) != exact
-            for idx, exact in problem.group_constraints
-        ):
-            continue
-        if problem.quad_coeffs is not None:
-            qsum = sum(
-                (qc * x * x for qc, x in zip(problem.quad_coeffs, vec)),
-                start=Fraction(0),
-            )
-            if qsum > problem.quad_bound:
-                continue
-        out.append(vec)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +254,8 @@ def test_solve_dioph_three_variable_relaxations():
     # smallest step is 8/43).  Verified against the grid oracle.
     a = DiophProblem((Fraction(1, 3), Fraction(1, 5), Fraction(1, 43)), Fraction(647, 645))
     b = DiophProblem((Fraction(1, 3), Fraction(1, 5), Fraction(1, 43)), Fraction(649, 645))
-    assert solve_dioph(a) == brute_force(a) == [(1, 3, 3)]
-    assert solve_dioph(b) == brute_force(b) == [(2, 1, 6)]
+    assert solve_dioph(a) == oracles.fraction_grid(a) == [(1, 3, 3)]
+    assert solve_dioph(b) == oracles.fraction_grid(b) == [(2, 1, 6)]
 
 
 def test_solve_dioph_quad_filter():
@@ -287,7 +265,7 @@ def test_solve_dioph_quad_filter():
         quad_coeffs=(Fraction(1), Fraction(1)),
         quad_bound=Fraction(9),
     )
-    assert solve_dioph(prob) == brute_force(prob)
+    assert solve_dioph(prob) == oracles.fraction_grid(prob)
     loose = DiophProblem((Fraction(1, 2), Fraction(1, 3)), Fraction(5, 3))
     assert len(solve_dioph(loose)) > len(solve_dioph(prob))
 
@@ -299,7 +277,7 @@ def test_solve_dioph_group_constraints():
         group_constraints=(((0, 1), Fraction(1)),),
     )
     sols = solve_dioph(prob)
-    assert sols == brute_force(prob)
+    assert sols == oracles.fraction_grid(prob)
     assert all(Fraction(x0 + x1, 2) == 1 for x0, x1, _ in sols)
 
 
@@ -326,70 +304,13 @@ def test_solve_dioph_lexicographic_order():
 
 def test_solve_dioph_matches_oracle_random():
     rng = random.Random(5)
+    problems = []
     for _ in range(200):
         n = rng.randint(1, 3)
         coeffs = tuple(Fraction(rng.randint(1, 6), rng.randint(1, 4)) for _ in range(n))
         target = Fraction(rng.randint(0, 8), rng.randint(1, 3))
-        prob = DiophProblem(coeffs, target)
-        assert solve_dioph(prob) == sorted(brute_force(prob))
-
-
-def reference_budgeted_solve_dioph(problem):
-    """The plain depth-first search the solver replaced, verbatim but for
-    reading both budgets from the module at call time: it visits every
-    value of every variable, the last one included, as a node."""
-    DFS_NODE_BUDGET = obstruction.DFS_NODE_BUDGET
-    SOLUTION_BUDGET = obstruction.SOLUTION_BUDGET
-
-    def _over_lcm(values):
-        den = lcm(*(x.denominator for x in values))
-        return [x.numerator * (den // x.denominator) for x in values]
-
-    n, constraints = len(problem.coeffs), problem.group_constraints
-    target, *ints = _over_lcm(
-        [problem.target, *problem.coeffs, *(exact for _, exact in constraints)]
-    )
-    if target < 0:
-        return []
-    cleared = ints[:n]
-    groups = [(idx, exact) for (idx, _), exact in zip(constraints, ints[n:])]
-    quads = None
-    if problem.quad_coeffs is not None:
-        quad_bound, *quads = _over_lcm([problem.quad_bound, *problem.quad_coeffs])
-    solutions = []
-    vec = [0] * n
-    nodes = 0
-
-    def dfs(i, remaining):
-        nonlocal nodes
-        nodes += 1
-        if nodes > DFS_NODE_BUDGET:
-            raise ValueError(
-                f"Diophantine search exceeds its budget of {DFS_NODE_BUDGET:,} nodes"
-            )
-        if i == n - 1:
-            if remaining % cleared[i]:
-                return
-            vec[i] = remaining // cleared[i]
-            if groups and any(
-                sum(cleared[k] * vec[k] for k in idx) != exact for idx, exact in groups
-            ):
-                return
-            if quads is not None and sum(b * x * x for b, x in zip(quads, vec)) > quad_bound:
-                return
-            if len(solutions) == SOLUTION_BUDGET:
-                raise ValueError(
-                    f"Diophantine problem has more than {SOLUTION_BUDGET:,} solutions"
-                )
-            solutions.append(tuple(vec))
-            return
-        step = cleared[i]
-        for x in range(remaining // step + 1):
-            vec[i] = x
-            dfs(i + 1, remaining - x * step)
-
-    dfs(0, target)
-    return solutions
+        problems.append(DiophProblem(coeffs, target))
+    oracles.agree(solve_dioph, lambda prob: sorted(oracles.fraction_grid(prob)), problems)
 
 
 def outcome(solve, problem):
@@ -443,13 +364,13 @@ def test_solve_dioph_matches_the_plain_search(monkeypatch):
         problem = random_problem(rng)
         monkeypatch.setattr(obstruction, "DFS_NODE_BUDGET", 2_000_000)
         monkeypatch.setattr(obstruction, "SOLUTION_BUDGET", 100_000)
-        want = outcome(reference_budgeted_solve_dioph, problem)
+        want = outcome(oracles.plain_search, problem)
         assert outcome(solve_dioph, problem) == want, problem
         solved += bool(want)
         nodes, kept = pairs[k % len(pairs)]
         monkeypatch.setattr(obstruction, "DFS_NODE_BUDGET", nodes)
         monkeypatch.setattr(obstruction, "SOLUTION_BUDGET", kept)
-        want = outcome(reference_budgeted_solve_dioph, problem)
+        want = outcome(oracles.plain_search, problem)
         assert outcome(solve_dioph, problem) == want, (problem, nodes, kept)
         raised += isinstance(want, str)
     # the corpus is not degenerate: many problems solve, many hit a budget
@@ -467,7 +388,7 @@ def test_solve_dioph_under_every_node_budget(monkeypatch):
                 budget = 0
                 while full is None or budget <= full + 1:
                     monkeypatch.setattr(obstruction, "DFS_NODE_BUDGET", budget)
-                    want = outcome(reference_budgeted_solve_dioph, problem)
+                    want = outcome(oracles.plain_search, problem)
                     assert outcome(solve_dioph, problem) == want, (problem, budget)
                     if full is None and not isinstance(want, str):
                         full = budget

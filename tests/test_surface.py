@@ -21,6 +21,7 @@ from qhpp.surface import (
     dp_data,
     gram_determinant,
 )
+from tests import oracles
 
 # ---------------------------------------------------------------------------
 # rationals
@@ -208,21 +209,6 @@ def test_d_value_is_an_integer():
 # ---------------------------------------------------------------------------
 
 
-def naive_det(m):
-    size = len(m)
-    if size == 0:
-        return 1
-    if size == 1:
-        return m[0][0]
-    total = 0
-    for j in range(size):
-        if m[0][j] == 0:
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-        total += (-1) ** j * m[0][j] * naive_det(minor)
-    return total
-
-
 def test_gram_reference_configurations():
     star = GramConfig((-1, -2, -3, -5), {(0, 1): 1, (0, 2): 1, (0, 3): 1})
     assert gram_determinant(star) == -1
@@ -244,6 +230,7 @@ def test_gram_trivial_cases():
 
 def test_gram_matches_cofactor_oracle_random():
     rng = random.Random(11)
+    configs = []
     for _ in range(200):
         n = rng.randint(1, 6)
         diag = tuple(rng.randint(-6, -1) for _ in range(n))
@@ -252,8 +239,8 @@ def test_gram_matches_cofactor_oracle_random():
             for j in range(i + 1, n):
                 if rng.random() < 0.4:
                     off[(i, j)] = rng.randint(0, 2)
-        cfg = GramConfig(diag, off)
-        assert gram_determinant(cfg) == naive_det(cfg.matrix())
+        configs.append(GramConfig(diag, off))
+    oracles.agree(gram_determinant, lambda cfg: oracles.cofactor_det(cfg.matrix()), configs)
 
 
 def test_gram_rejects_bad_edges():

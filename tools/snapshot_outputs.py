@@ -8,10 +8,11 @@ every pipeline P and every format F, the noA2 scan at the benchmark's cap of
 ``candidate``, ``gram``, three ``gram`` edge errors, a ``gram`` past its
 Hadamard digit limit, ``dioph``, a two-variable ``dioph`` of a million
 leaves, one past the node budget, a ``dioph`` input error, a ``dioph``
-rational past its digit limit, a chain whose order passes its bound, a usage
-error, ``--help`` and each command's ``--help``), each in a fresh
-interpreter on the ``src/`` of CHECKOUT (default: the checkout holding this
-script), with the bundled reference tables and an 80-column terminal width.
+rational past its digit limit, a chain whose order passes its bound, a chain
+padded with 5,000 leading zeros, a usage error, ``--help`` and each
+command's ``--help``), each in a fresh interpreter on the ``src/`` of
+CHECKOUT (default: the checkout holding this script), with the bundled
+reference tables and an 80-column terminal width.
 ``api.txt`` lists the sorted ``__all__`` of ``qhpp`` and of each of its
 modules.  Each file holds the command's stdout, then its stderr, then a line
 ``rc=N`` with its exit code.
@@ -35,6 +36,8 @@ REQUESTS = {
     "cf-info-long-json.txt": ["cf-info", "[3,2,2,2,2,2,2,2,2]", "--format", "json"],
     # 300 entries 3: an order of 126 digits, past hjcf.ORDER_DIGIT_LIMIT
     "cf-info-order-limit.txt": ["cf-info", "[" + ",".join(["3"] * 300) + "]"],
+    # leading zeros past CPython's limit on integer conversion count for nothing
+    "cf-info-zero-padded.txt": ["cf-info", "0" * 5_000 + "19/9"],
     "candidate.txt": ["candidate", "--sings", "[2],[2,2],[7],[13]"],
     "gram-negative-diag.txt": ["gram", "--diag", "-1,-2,-3,-5", "--edges", "1-2,1-3,1-4"],
     "gram-edge-out-of-range.txt": ["gram", "--diag", "-1,-2", "--edges", "1-5"],
