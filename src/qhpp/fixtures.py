@@ -14,7 +14,7 @@ from importlib import resources
 
 from .hjcf import parse_cf
 from .ratio import parse_rational
-from .surface import GramConfig, _gram_matrix
+from .surface import GramConfig
 
 ENV_VAR = "QHPP_FIXTURES"
 
@@ -121,7 +121,7 @@ def _check_rows(data: dict, where: str) -> None:
     or a step6 case that names a row its table lacks, of a gram edge that
     names a vertex its diagonal lacks, joins a vertex to itself or repeats
     an earlier pair, of a gram entry without exactly one of det and abs_det,
-    or of a gram entry past the limits of ``surface._gram_matrix``."""
+    or of a gram entry past the limits of ``GramConfig.matrix``."""
     named = [(f"l11_cases[{i}].row", case["row"], "q20") for i, case in enumerate(data["l11_cases"])]
     named += [
         (f"step6.{key}", int(key[4:]), "table1")
@@ -146,7 +146,7 @@ def _check_rows(data: dict, where: str) -> None:
                 raise ValueError(f"{path} repeats an earlier pair")
             pairs.add(pair)
         try:
-            _gram_matrix(GramConfig(tuple(cfg["diag"]), dict.fromkeys(pairs, 1)))
+            GramConfig(tuple(cfg["diag"]), dict.fromkeys(pairs, 1)).matrix()
         except ValueError as exc:
             raise ValueError(f"{where}: gram[{i}]: {exc}") from None
 

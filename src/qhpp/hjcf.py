@@ -18,6 +18,8 @@ from itertools import compress
 from math import gcd
 from typing import Iterable, Iterator
 
+from .ratio import _read_int
+
 __all__ = [
     "HjCf",
     "cf_bump",
@@ -325,7 +327,8 @@ def parse_cf(text: str) -> HjCf:
     cf_from_pair) or a bare integer ``7`` (meaning 7/1).  Either chain form
     has at most CHAIN_LENGTH_LIMIT entries; a longer bracket body is refused
     before any entry is converted.  Its order has at most ORDER_DIGIT_LIMIT
-    digits: a number written with more is refused before it is converted,
+    digits: a number written with more, leading zeros aside, is refused
+    before it is converted (``ratio._read_int``),
     and a bracket chain's order is summed entry by entry, up to the first
     prefix past the bound (each entry >= 2 makes the order of the prefix
     grow), before the chain is built.
@@ -350,7 +353,7 @@ def _parse_cf(text: str) -> HjCf:
             raise ValueError(
                 f"a bracket chain has more than the limit of {CHAIN_LENGTH_LIMIT:,} entries"
             )
-        entries = tuple(map(_order_int, tokens))
+        entries = tuple([_read_int(token, ORDER_DIGIT_LIMIT, _ORDER_ERROR) for token in tokens])
         a, b = 0, 1
         for n in entries:
             if n < 2:
@@ -359,39 +362,12 @@ def _parse_cf(text: str) -> HjCf:
             if b >= _ORDER_CEILING:
                 raise ValueError(_ORDER_ERROR)
         return HjCf(entries)
-    if "/" in s:
-        num, den = s.split("/", 1)
-        q = _order_int(num)
-        if _past_digit_limit(den):
-            # such a q1 is not below any order within the bound
-            raise ValueError(
-                f"q1 must satisfy 1 <= q1 < q, got a q1 of more than"
-                f" {ORDER_DIGIT_LIMIT} digits, q={q}"
-            )
-        return cf_from_pair(q, _order_int(den))
-    return cf_from_pair(_order_int(s), 1)
-
-
-def _past_digit_limit(token: str) -> bool:
-    """True when the number written in token has more than
-    ORDER_DIGIT_LIMIT digits, counted before any conversion."""
-    return len(token.strip().lstrip("+-").lstrip("0")) > ORDER_DIGIT_LIMIT
-
-
-def _order_int(token: str) -> int:
-    """int(token), refused before the conversion when the number has more
-    than ORDER_DIGIT_LIMIT digits: no entry or order of a chain within the
-    bound has that many.  A token longer than that which passes the count
-    is padded, so only the digits counted are converted, with their sign:
-    leading zeros never reach CPython's own limit.  A token whose digits do
-    not parse is converted as written, for int's own error text."""
-    if _past_digit_limit(token):
-        raise ValueError(_ORDER_ERROR)
-    if len(token) > ORDER_DIGIT_LIMIT:
-        s = token.strip()
-        digits = s.lstrip("+-")
-        try:
-            return int(s[: len(s) - len(digits)] + (digits.lstrip("0") or "0"))
-        except ValueError:
-            pass
-    return int(token)
+    num, slash, den = s.partition("/")
+    q = _read_int(num, ORDER_DIGIT_LIMIT, _ORDER_ERROR)
+    if not slash:
+        return cf_from_pair(q, 1)
+    # a q1 of more digits is not below any order within the bound
+    q1_error = (
+        f"q1 must satisfy 1 <= q1 < q, got a q1 of more than {ORDER_DIGIT_LIMIT} digits, q={q}"
+    )
+    return cf_from_pair(q, _read_int(den, ORDER_DIGIT_LIMIT, q1_error))

@@ -17,22 +17,45 @@ __all__ = ["format_rational", "is_positive_square", "parse_rational", "rational_
 # int() converts them: CPython converts no string of more than 4,300 digits,
 # and the bundled reference tables write at most 4.
 RATIONAL_DIGIT_LIMIT = 1_000
+_RATIONAL_ERROR = f"a rational has more than the limit of {RATIONAL_DIGIT_LIMIT:,} digits"
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse ``"p/q"`` or a bare integer string into a Fraction (ValueError if
     malformed, or if p or q has more than RATIONAL_DIGIT_LIMIT digits)."""
-    s = text.strip()
-    if len(s) > RATIONAL_DIGIT_LIMIT and any(
-        sum(map(str.isdigit, part)) > RATIONAL_DIGIT_LIMIT for part in s.split("/", 1)
-    ):
-        raise ValueError(f"a rational has more than the limit of {RATIONAL_DIGIT_LIMIT:,} digits")
-    if "/" in s:
-        num, den = map(int, s.split("/", 1))
-        if den == 0:
-            raise ValueError(f"zero denominator in {text!r}")
-        return Fraction(num, den)
-    return Fraction(int(s))
+    num, slash, den = text.strip().partition("/")
+    p = _read_int(num, RATIONAL_DIGIT_LIMIT, _RATIONAL_ERROR)
+    if not slash:
+        return Fraction(p)
+    q = _read_int(den, RATIONAL_DIGIT_LIMIT, _RATIONAL_ERROR)
+    if q == 0:
+        raise ValueError(f"zero denominator in {text!r}")
+    return Fraction(p, q)
+
+
+def _read_int(token: str, limit: int, error: str) -> int:
+    """int(token), refused with ValueError(error) before any conversion when
+    the number has more than ``limit`` digits.
+
+    A token of at most ``limit`` characters goes straight to int().  A longer
+    one has its sign and leading zeros dropped, and the digits left are
+    counted, so leading zeros count for nothing and never meet CPython's own
+    limit of 4,300 digits.  What is converted is the sign, one zero (so that
+    a ``_`` after the zeros stays as valid as int() finds it) and the rest.
+    A malformed token gets int's own text, its quoted token cut at 200
+    characters as CPython cuts it.
+    """
+    if len(token) <= limit:
+        return int(token)
+    s = token.strip()
+    body = s.lstrip("+-")
+    digits = body.lstrip("0")
+    if sum(map(str.isdigit, digits)) > limit:
+        raise ValueError(error)
+    try:
+        return int(s[: len(s) - len(body)] + body[-len(digits) - 1 :])
+    except ValueError:
+        raise ValueError(f"invalid literal for int() with base 10: {token!r:.200}") from None
 
 
 def format_rational(x: Fraction | int) -> str:

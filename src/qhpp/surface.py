@@ -277,17 +277,43 @@ class GramConfig(NamedTuple):
         return len(self.diagonal)
 
     def matrix(self) -> list[list[int]]:
+        """The configuration's matrix, once its input is bounded: at most
+        GRAM_SIZE_LIMIT vertices, edges within range and not loops,
+        intersection numbers >= 0, and a Hadamard bound of at most
+        GRAM_DET_DIGIT_LIMIT digits.  Raises ValueError otherwise.
+
+        The Hadamard bound, the product of the lengths of the nonzero rows,
+        caps |det| and every minor, so every integer that Bareiss elimination
+        makes.  It is tested on the squares, in integers, summed from the
+        diagonal and the edges rather than the dense matrix, and the product
+        stops at the first prefix past the limit.
+        """
         n = self.size
-        m = [[0] * n for _ in range(n)]
-        for i, d in enumerate(self.diagonal):
-            m[i][i] = d
+        if n > GRAM_SIZE_LIMIT:
+            raise ValueError(
+                f"a Gram configuration has at most {GRAM_SIZE_LIMIT} vertices, got {n:,}"
+            )
+        norms = [d * d for d in self.diagonal]
         for (i, j), w in self.off_diagonal.items():
             if not (0 <= i < n and 0 <= j < n and i != j):
                 raise ValueError(f"edge ({i},{j}) out of range for size {n}")
             if w < 0:
                 raise ValueError(f"intersection numbers must be >= 0, got {w}")
-            m[i][j] = w
-            m[j][i] = w
+            norms[i] += w * w
+            norms[j] += w * w
+        bound_sq = 1
+        for norm in norms:
+            bound_sq *= norm or 1
+            if bound_sq >= _HADAMARD_SQ_CEILING:
+                raise ValueError(
+                    "a Gram configuration's Hadamard bound on |det| has more than "
+                    f"the limit of {GRAM_DET_DIGIT_LIMIT:,} digits"
+                )
+        m = [[0] * n for _ in range(n)]
+        for i, d in enumerate(self.diagonal):
+            m[i][i] = d
+        for (i, j), w in self.off_diagonal.items():
+            m[i][j] = m[j][i] = w
         return m
 
 
@@ -312,42 +338,10 @@ DET_R_DIGIT_LIMIT = 1_000
 _DET_R_CEILING = 10**DET_R_DIGIT_LIMIT
 
 
-def _gram_matrix(cfg: GramConfig) -> list[list[int]]:
-    """The configuration's matrix, once its input is bounded: at most
-    GRAM_SIZE_LIMIT vertices, edges that ``GramConfig.matrix`` accepts, and a
-    Hadamard bound of at most GRAM_DET_DIGIT_LIMIT digits.  Raises
-    ValueError otherwise.
-
-    The Hadamard bound, the product of the lengths of the nonzero rows, caps
-    |det| and every minor, so every integer that Bareiss elimination makes.
-    It is tested on the squares, in integers, summed from the diagonal and
-    the edges rather than the dense matrix, and the product stops at the
-    first prefix past the limit.
-    """
-    if cfg.size > GRAM_SIZE_LIMIT:
-        raise ValueError(
-            f"a Gram configuration has at most {GRAM_SIZE_LIMIT} vertices, got {cfg.size:,}"
-        )
-    m = cfg.matrix()
-    norms = [d * d for d in cfg.diagonal]
-    for (i, j), w in cfg.off_diagonal.items():
-        norms[i] += w * w
-        norms[j] += w * w
-    bound_sq = 1
-    for norm in norms:
-        bound_sq *= norm or 1
-        if bound_sq >= _HADAMARD_SQ_CEILING:
-            raise ValueError(
-                "a Gram configuration's Hadamard bound on |det| has more than "
-                f"the limit of {GRAM_DET_DIGIT_LIMIT:,} digits"
-            )
-    return m
-
-
 def gram_determinant(cfg: GramConfig) -> int:
     """Exact determinant via fraction-free (Bareiss) elimination, of the
-    matrix ``_gram_matrix`` bounds (it raises ValueError past its limits)."""
-    m = _gram_matrix(cfg)
+    matrix ``GramConfig.matrix`` bounds (it raises ValueError past its limits)."""
+    m = cfg.matrix()
     n = len(m)
     if n == 0:
         return 1

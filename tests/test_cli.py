@@ -123,14 +123,36 @@ def test_chain_at_its_order_limit_is_accepted(capsys, text, q):
         (["cf-info", "0" * 5_000 + "19/9"], ["cf-info", "19/9"]),
         (["cf-info", "[" + "0" * 5_000 + "3,2]"], ["cf-info", "[3,2]"]),
         (["cf-info", "19/" + "0" * 5_000 + "9"], ["cf-info", "19/9"]),
+        # int() takes a separator after the zeros
+        (["cf-info", "0" * 5_000 + "_19/9"], ["cf-info", "19/9"]),
         (["candidate", "--sings", "[2],[" + "0" * 5_000 + "3]"], ["candidate", "--sings", "[2],[3]"]),
+        (["dioph", "--coeffs", "1", "--target", "0" * 5_000 + "1"],
+         ["dioph", "--coeffs", "1", "--target", "1"]),
+        (["dioph", "--coeffs", "1/" + "0" * 5_000 + "2", "--target", "1"],
+         ["dioph", "--coeffs", "1/2", "--target", "1"]),
     ],
 )
 def test_zero_padded_chain_token_answers_as_its_digits(capsys, argv, unpadded):
     # 5,000 leading zeros pass CPython's limit on integer conversion; they
-    # count towards no order, and are dropped before any conversion
+    # count towards no order and no rational's digits, and are dropped
+    # before any conversion
     want = run(capsys, *unpadded)
     assert want[0] == 0 and run(capsys, *argv) == want
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cf-info", "0" * 5_000 + "x"],
+        ["dioph", "--coeffs", "1", "--target", "0" * 5_000 + "1x"],
+    ],
+)
+def test_malformed_zero_padded_token_gets_ints_own_text(capsys, argv):
+    # not CPython's text on passing its limit of 4,300 digits: the quoted
+    # token is cut at 200 characters, as int() cuts it
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: invalid literal for int() with base 10: '" + "0" * 199 + "\n"
 
 
 def test_bracket_chain_past_its_length_limit_is_input_error(capsys):
@@ -499,32 +521,10 @@ def test_noA2_cap_out_of_range_is_input_error_before_any_output(
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture
-def tables(tmp_path, monkeypatch):
-    """Point the loader at a file in tmp_path; returns its path."""
-    path = tmp_path / "tables.json"
-    monkeypatch.setenv(fx.ENV_VAR, str(path))
-    fx._load.cache_clear()
-    yield path
-    fx._load.cache_clear()
-
-
-def write_edited_tables(tables, path, value):
-    """Write the bundled tables to ``tables`` with the value at ``path``
-    (a sequence of keys and indices) replaced by ``value``."""
-    data = json.loads(json.dumps(fx._load(None)))
-    *parents, last = path
-    target = data
-    for key in parents:
-        target = target[key]
-    target[last] = value
-    tables.write_text(json.dumps(data))
-
-
 def test_missing_fixture_file_is_input_error(capsys, tables):
     code, out, err = run(capsys, "enumerate", "--pipeline", "step5")
     assert code == 2 and out == ""
-    assert err.startswith("error: ") and str(tables) in err
+    assert err.startswith("error: ") and str(tables.path) in err
 
 
 @pytest.mark.parametrize(
@@ -533,12 +533,12 @@ def test_missing_fixture_file_is_input_error(capsys, tables):
 def test_fixture_file_without_a_table_is_input_error(capsys, tables, drop, first_missing):
     data = {}
     if drop:
-        data = json.loads(json.dumps(fx._load(None)))
+        data = tables.bundled()
         del data[drop]
-    tables.write_text(json.dumps(data))
+    tables.write(data)
     code, out, err = run(capsys, "enumerate", "--pipeline", "step5")
     assert code == 2 and out == ""
-    assert err == f"error: {tables}: reference tables lack the key {first_missing!r}\n"
+    assert err == f"error: {tables.path}: reference tables lack the key {first_missing!r}\n"
 
 
 @pytest.mark.parametrize(
@@ -557,12 +557,10 @@ def test_fixture_file_without_a_table_is_input_error(capsys, tables, drop, first
     ],
 )
 def test_fixture_table_of_the_wrong_shape_is_input_error(capsys, tables, table, value, message):
-    data = json.loads(json.dumps(fx._load(None)))
-    data[table] = value
-    tables.write_text(json.dumps(data))
+    tables.edit((table,), value)
     code, out, err = run(capsys, "verify", "--all")
     assert code == 2 and out == ""
-    assert err == f"error: {tables}: {message}\n"
+    assert err == f"error: {tables.path}: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -591,10 +589,10 @@ def test_fixture_table_of_the_wrong_shape_is_input_error(capsys, tables, table, 
 def test_nested_fixture_value_of_the_wrong_shape_is_input_error(
     capsys, tables, path, value, message
 ):
-    write_edited_tables(tables, path, value)
+    tables.edit(path, value)
     code, out, err = run(capsys, "verify", "--all")
     assert code == 2 and out == ""
-    assert err == f"error: {tables}: {message}\n"
+    assert err == f"error: {tables.path}: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -605,7 +603,7 @@ def test_nested_fixture_value_of_the_wrong_shape_is_input_error(
     ],
 )
 def test_gram_mismatch_names_both_sides(capsys, tables, index, key, value, line):
-    write_edited_tables(tables, ("gram", index, key), value)
+    tables.edit(("gram", index, key), value)
     code, out, _ = run(capsys, "verify", "--all")
     assert code == 1
     assert f"\n{line}\n" in out
@@ -617,7 +615,7 @@ def test_gram_mismatch_names_both_sides(capsys, tables, index, key, value, line)
 )
 def test_coefficient_table_short_of_rows_fails(capsys, tables, table, rows, keep):
     cut = fx._load(None)["coeff_tables"][table][rows][:keep]
-    write_edited_tables(tables, ("coeff_tables", table, rows), cut)
+    tables.edit(("coeff_tables", table, rows), cut)
     code, out, _ = run(capsys, "verify", "--all")
     assert code == 1
     assert f"FAIL     property coeff_tables: {table}: 4 sings, {keep} {rows} rows\n" in out
@@ -636,8 +634,8 @@ def test_coefficient_table_short_of_rows_fails(capsys, tables, table, rows, keep
 def test_fixture_gram_past_its_limits_is_input_error_before_any_output(
     capsys, tables, diag, message
 ):
-    write_edited_tables(tables, ("gram", 0, "diag"), diag)
-    assert run(capsys, "verify", "--all") == (2, "", f"error: {tables}: {message}\n")
+    tables.edit(("gram", 0, "diag"), diag)
+    assert run(capsys, "verify", "--all") == (2, "", f"error: {tables.path}: {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -667,10 +665,10 @@ def test_fixture_value_naming_something_absent_is_input_error(
     capsys, tables, pipeline, path, value, message
 ):
     assert fx._load(None)["table1"]["rows"][23]["no"] == 24
-    write_edited_tables(tables, path, value)
+    tables.edit(path, value)
     code, out, err = run(capsys, "enumerate", "--pipeline", pipeline)
     assert code == 2 and out == ""
-    assert err == f"error: {tables}: {message}\n"
+    assert err == f"error: {tables.path}: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -692,7 +690,7 @@ def test_step6_residual_row_unlike_its_fixture_case_is_a_mismatch(
     # the computed sweep closes the row either way: it counts as eliminated
     rows = fx._load(None)["table1"]["rows"]
     assert (rows[no - 1]["no"], rows[23]["no"]) == (no, 24)
-    write_edited_tables(tables, ("table1", "rows", no - 1, "sings"), rows[23]["sings"])
+    tables.edit(("table1", "rows", no - 1, "sings"), rows[23]["sings"])
     code, out, _ = run(capsys, "enumerate", "--pipeline", "step6", "--format", "json")
     assert code == 1
     report = json.loads(out)
@@ -709,7 +707,7 @@ def test_step6_geometric_branch_without_a_fixture_case_is_not_eliminated(capsys,
     # which no fixture case closes
     rows = fx._load(None)["table1"]["rows"]
     assert (rows[0]["no"], rows[14]["no"]) == (1, 15)
-    write_edited_tables(tables, ("table1", "rows", 0, "sings"), rows[14]["sings"])
+    tables.edit(("table1", "rows", 0, "sings"), rows[14]["sings"])
     code, out, _ = run(capsys, "enumerate", "--pipeline", "step6", "--format", "json")
     assert code == 1
     report = json.loads(out)
@@ -723,7 +721,7 @@ def test_step6_geometric_branch_without_a_fixture_case_is_not_eliminated(capsys,
 def test_step6_residual_row_with_a_non_square_d_prime_is_a_mismatch(capsys, tables):
     # row 15 stays residual, but its D' = 456 has no square root for the sweep
     sings = ["[2]", "[3]", "[3,2,2]", "[3,2,2,2]"]
-    write_edited_tables(tables, ("table1", "rows", 14, "sings"), sings)
+    tables.edit(("table1", "rows", 14, "sings"), sings)
     code, out, err = run(capsys, "enumerate", "--pipeline", "step6", "--format", "json")
     assert (code, err) == (1, "")
     assert json.loads(out)["mismatches"] == [
@@ -736,7 +734,7 @@ def test_l11_case_with_a_non_square_d_prime_is_a_mismatch(capsys, tables):
     # q20 row 4 is l11 case 4 (c = 1); its D' = 1484 has no square root for
     # the m bound
     sings = ["[2]", "[3]", "[3,2]", "[3,2,2,3,2,2,3]"]
-    write_edited_tables(tables, ("q20", "rows", 3, "sings"), sings)
+    tables.edit(("q20", "rows", 3, "sings"), sings)
     code, out, err = run(capsys, "enumerate", "--pipeline", "l11", "--format", "json")
     assert (code, err) == (1, "")
     report = json.loads(out)
@@ -761,7 +759,7 @@ def test_l11_case_with_a_non_square_d_prime_is_a_mismatch(capsys, tables):
     ],
 )
 def test_l11_case_it_cannot_evaluate_is_a_mismatch(capsys, tables, path, value, mismatches):
-    write_edited_tables(tables, path, value)
+    tables.edit(path, value)
     code, out, err = run(capsys, "enumerate", "--pipeline", "l11", "--format", "json")
     assert (code, err) == (1, "")
     report = json.loads(out)
@@ -785,7 +783,7 @@ def test_l11_case_it_cannot_evaluate_is_a_mismatch(capsys, tables, path, value, 
     ids=["swapped_rule", "unknown_rule", "agg_coeffs"],
 )
 def test_l11_fixture_rule_and_cells_are_diffed_not_followed(capsys, tables, path, value, mismatch):
-    write_edited_tables(tables, path, value)
+    tables.edit(path, value)
     code, out, err = run(capsys, "enumerate", "--pipeline", "l11", "--format", "json")
     assert (code, err) == (1, "")
     report = json.loads(out)
@@ -827,7 +825,7 @@ def test_l11_case_no_rule_closes_is_a_mismatch(capsys, monkeypatch):
 def test_row_orders_are_diffed(capsys, tables, monkeypatch, pipeline, path, value, mismatch):
     argv = ["enumerate", "--pipeline", pipeline, "--format", "json"]
     argv += ["--cap", "60"] if pipeline == "noA2" else []
-    write_edited_tables(tables, path, value)
+    tables.edit(path, value)
     code, out, _ = run(capsys, *argv)
     edited = json.loads(out)["mismatches"]
     monkeypatch.delenv(fx.ENV_VAR)
@@ -861,14 +859,14 @@ CORRUPTED = {
 
 @pytest.mark.parametrize("pipeline", sorted(CORRUPTED))
 def test_corrupted_fixture_cells_are_reported(capsys, tables, pipeline):
-    data = json.loads(json.dumps(fx._load(None)))
+    data = tables.bundled()
     data["table1"]["rows"][0]["ks2"] = "1/2"
     data["l11_cases"][0]["D"] = "37"
     data["l11_cases"][0]["m_values"] = [1, 2]
     data["step5"]["sub_cases"][0]["tally"] = 12
     data["step6"]["rules"]["A"].remove(19)
     data["noA2_examples"][0]["D"] = "961"
-    tables.write_text(json.dumps(data))
+    tables.write(data)
     argv = ["enumerate", "--pipeline", pipeline, "--format", "json"]
     if pipeline == "noA2":
         argv += ["--cap", "60"]

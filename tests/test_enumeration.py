@@ -233,28 +233,6 @@ def reports_of_both_scans(monkeypatch, pipeline) -> tuple[PipelineReport, Pipeli
     return got, want
 
 
-@pytest.fixture
-def edited_tables(tmp_path, monkeypatch):
-    """A function that points the loader at the bundled tables with the value
-    at ``path`` (a sequence of keys and indices) replaced by ``value``."""
-    import qhpp.fixtures as fx
-
-    def edit(path, value):
-        data = json.loads(json.dumps(fx._load(None)))
-        *parents, last = path
-        target = data
-        for key in parents:
-            target = target[key]
-        target[last] = value
-        tables = tmp_path / "tables.json"
-        tables.write_text(json.dumps(data))
-        monkeypatch.setenv(fx.ENV_VAR, str(tables))
-        fx._load.cache_clear()
-
-    yield edit
-    fx._load.cache_clear()
-
-
 @pytest.mark.parametrize("pipeline", [table1_pipeline, lemma_q20_pipeline, small_q_pipeline])
 def test_scan_matches_the_candidate_per_case_scan(monkeypatch, pipeline):
     got, want = reports_of_both_scans(monkeypatch, pipeline)
@@ -276,9 +254,9 @@ def test_scan_matches_the_candidate_per_case_scan(monkeypatch, pipeline):
     ],
 )
 def test_scan_matches_the_candidate_per_case_scan_on_edited_tables(
-    monkeypatch, edited_tables, pipeline, path, value, mismatch
+    monkeypatch, tables, pipeline, path, value, mismatch
 ):
-    edited_tables(path, value)
+    tables.edit(path, value)
     got, want = reports_of_both_scans(monkeypatch, pipeline)
     assert got == want
     assert mismatch in got.mismatches
@@ -554,19 +532,7 @@ def test_coeff_tables_check():
     assert result.ok, result.detail
 
 
-def test_fixture_override_env(tmp_path, monkeypatch):
-    import qhpp.fixtures as fx
-
-    data = load_fixtures()
-    broken = json.loads(json.dumps(data))
-    broken["table1"]["stage_counts"]["types"] = 999
-    path = tmp_path / "tables.json"
-    path.write_text(json.dumps(broken))
-    monkeypatch.setenv(fx.ENV_VAR, str(path))
-    fx._load.cache_clear()
-    try:
-        report = table1_pipeline()
-        assert any("999" in m for m in report.mismatches)
-    finally:
-        monkeypatch.delenv(fx.ENV_VAR)
-        fx._load.cache_clear()
+def test_fixture_override_env(tables):
+    tables.edit(("table1", "stage_counts", "types"), 999)
+    report = table1_pipeline()
+    assert any("999" in m for m in report.mismatches)

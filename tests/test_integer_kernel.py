@@ -305,9 +305,11 @@ def test_uv_integer_predicates_agree_with_holds_where_they_fail():
 # ---------------------------------------------------------------------------
 
 
-def _seeded_candidates() -> tuple[list, list]:
+@pytest.fixture(scope="module")
+def seeded_candidates() -> tuple[list, list]:
     """The dp_data records of every case the candidate scans test, and every
-    candidate the seven pipelines and the three random suites build."""
+    candidate the seven pipelines and the three random suites build, recorded
+    once for the module."""
     with oracles.recording(enumeration, "candidate_invariants") as built:
         with oracles.recording(enumeration, "_det_and_d") as tested:
             for fn in enumeration.PIPELINES.values():
@@ -331,8 +333,8 @@ def _fraction_invariants(cand) -> tuple:
     return (*ref, ref[5] * ref[2])
 
 
-def test_candidate_invariants_match_the_fraction_sums_on_the_seeded_corpora():
-    tested, cands = _seeded_candidates()
+def test_candidate_invariants_match_the_fraction_sums_on_the_seeded_corpora(seeded_candidates):
+    tested, cands = seeded_candidates
     # table1, q20 and small-q test 1,092 + 126 + 240 cases; the suites build
     # 10,000 + 2,000 + 3 x 500 candidates, and the pipelines the rest
     assert len(tested) == 1_458
@@ -348,6 +350,8 @@ def test_candidate_invariants_match_the_fraction_sums_on_the_seeded_corpora():
     oracles.agree(bmy_status, lambda cand: oracles.bmy_status(cand.ks2, cand.e_orb), cands)
     assert all(type(cand.D) is int and type(cand.E) is int for cand in cands)
     assert set(map(bmy_status, cands)) == set(BmyStatus)
+
+
 @pytest.mark.parametrize(
     ("sings", "D", "E", "status"),
     [
@@ -453,8 +457,8 @@ def test_cf_info_prints_the_fraction_values_on_every_chain():
     )
 
 
-def test_candidate_to_dict_prints_the_fraction_values_on_the_seeded_corpora():
-    _, cands = _seeded_candidates()
+def test_candidate_to_dict_prints_the_fraction_values_on_the_seeded_corpora(seeded_candidates):
+    _, cands = seeded_candidates
     show = oracles.format_rational
     oracles.agree(
         lambda cand: itemgetter("ks2", "three_e_orb", "D")(candidate_to_dict(cand)),

@@ -13,6 +13,7 @@ from qhpp.ratio import format_rational, is_positive_square, parse_rational, rati
 from qhpp.fixtures import load_fixtures
 from qhpp.surface import (
     GRAM_DET_DIGIT_LIMIT,
+    GRAM_SIZE_LIMIT,
     BmyStatus,
     GramConfig,
     bmy_status,
@@ -258,13 +259,25 @@ def test_gram_refuses_a_hadamard_bound_past_its_digit_limit():
     # a zero row leaves the bound as it is
     assert gram_determinant(GramConfig((-(10**500), 10 ** (limit - 501), 0), {})) == 0
     message = f"Hadamard bound on \\|det\\| has more than the limit of {limit:,} digits"
-    with pytest.raises(ValueError, match=message):
-        gram_determinant(GramConfig((-(10**500), 10 ** (limit - 500)), {}))
     # dense: 100 rows of 100 entries 10^9, each of length 10^10, give 10^1000
     w = 10**9
-    past = GramConfig((-w,) * 100, {(i, j): w for i in range(100) for j in range(i + 1, 100)})
+    dense = GramConfig((-w,) * 100, {(i, j): w for i in range(100) for j in range(i + 1, 100)})
+    for past in (GramConfig((-(10**500), 10 ** (limit - 500)), {}), dense):
+        with pytest.raises(ValueError, match=message):
+            gram_determinant(past)
+        with pytest.raises(ValueError, match=message):
+            past.matrix()
+
+
+def test_gram_refuses_a_configuration_past_its_size_limit():
+    limit = GRAM_SIZE_LIMIT
+    assert GramConfig((-2,) * limit, {}).matrix()[limit - 1][limit - 1] == -2
+    past = GramConfig((-2,) * (limit + 1), {})
+    message = f"at most {limit} vertices, got {limit + 1}"
     with pytest.raises(ValueError, match=message):
         gram_determinant(past)
+    with pytest.raises(ValueError, match=message):
+        past.matrix()
 
 
 def test_gram_reference_configurations_are_inside_the_limits():

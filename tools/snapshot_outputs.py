@@ -8,8 +8,9 @@ every pipeline P and every format F, the noA2 scan at the benchmark's cap of
 ``candidate``, ``gram``, three ``gram`` edge errors, a ``gram`` past its
 Hadamard digit limit, ``dioph``, a two-variable ``dioph`` of a million
 leaves, one past the node budget, a ``dioph`` input error, a ``dioph``
-rational past its digit limit, a chain whose order passes its bound, a chain
-padded with 5,000 leading zeros, a usage error, ``--help`` and each
+rational past its digit limit, a ``dioph`` of rationals padded with leading
+zeros, a chain whose order passes its bound, a chain padded with 5,000
+leading zeros and a malformed one, a usage error, ``--help`` and each
 command's ``--help``), each in a fresh interpreter on the ``src/`` of
 CHECKOUT (default: the checkout holding this script), with the bundled
 reference tables and an 80-column terminal width.
@@ -38,6 +39,8 @@ REQUESTS = {
     "cf-info-order-limit.txt": ["cf-info", "[" + ",".join(["3"] * 300) + "]"],
     # leading zeros past CPython's limit on integer conversion count for nothing
     "cf-info-zero-padded.txt": ["cf-info", "0" * 5_000 + "19/9"],
+    # a malformed token gets int's own text, not CPython's on passing its limit
+    "cf-info-zero-padded-malformed.txt": ["cf-info", "0" * 5_000 + "x"],
     "candidate.txt": ["candidate", "--sings", "[2],[2,2],[7],[13]"],
     "gram-negative-diag.txt": ["gram", "--diag", "-1,-2,-3,-5", "--edges", "1-2,1-3,1-4"],
     "gram-edge-out-of-range.txt": ["gram", "--diag", "-1,-2", "--edges", "1-5"],
@@ -60,6 +63,10 @@ REQUESTS = {
     "dioph-zero-denominator.txt": ["dioph", "--coeffs", "1/0", "--target", "1"],
     # a target of 1,001 digits, one past ratio.RATIONAL_DIGIT_LIMIT
     "dioph-digit-limit.txt": ["dioph", "--coeffs", "1", "--target", "1" + "0" * 1_000],
+    # leading zeros count for nothing in a rational either
+    "dioph-zero-padded.txt": [
+        "dioph", "--coeffs", "1/" + "0" * 5_000 + "2", "--target", "0" * 1_001 + "1",
+    ],
     "enumerate-noA2-cap2000-json.txt": [
         "enumerate", "--pipeline", "noA2", "--cap", "2000", "--format", "json",
     ],

@@ -9,6 +9,10 @@ the cache plugin off, and prints one JSON object: the wall time in seconds,
 the pass and fail counts, the failing test ids, and the seconds per test file (setup, call and
 teardown summed from pytest's durations).  It is not itself a test: compare
 two trees by running it on both, on one host.
+
+It exits 0 when the only red is the two documented errata of the reference
+tables (``ERRATA``), and 1 when pytest reports an error or any other
+failure, or does not finish its run.
 """
 
 from __future__ import annotations
@@ -26,6 +30,11 @@ COMMAND = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 DURATION = re.compile(r"^([0-9.]+)s (?:setup|call|teardown)\s+([^:\s]+)::")
 COUNT = re.compile(r"(\d+) (passed|failed|errors?)\b")
 FAILURE = re.compile(r"^(?:FAILED|ERROR) (\S+)")
+# the q20 tally (126, not 128) and the small-q square-D count (12, not 6)
+ERRATA = {
+    "tests/test_acceptance.py::test_criterion_03_q20_pipeline",
+    "tests/test_acceptance.py::test_criterion_04_small_q_pipeline",
+}
 
 
 def summarise(output: str, wall_s: float) -> dict:
@@ -69,8 +78,11 @@ def main(argv: list[str] | None = None) -> int:
         capture_output=True, text=True, env=env, cwd=root, check=False,
     )
     wall_s = time.perf_counter() - start
-    print(json.dumps(summarise(proc.stdout, wall_s), indent=2))
-    return 0
+    record = summarise(proc.stdout, wall_s)
+    print(json.dumps(record, indent=2))
+    new_red = record["errors"] or set(record["failures"]) - ERRATA
+    # pytest exits 2 to 5 when it was interrupted or ran no test
+    return int(bool(new_red) or proc.returncode not in (0, 1))
 
 
 if __name__ == "__main__":
