@@ -36,7 +36,11 @@ def _json_dump(obj) -> str:
 
 
 def _parse_sings(text: str) -> list[str]:
-    """Split a comma-separated list of chains, respecting brackets."""
+    """Split a comma-separated list of chains, respecting brackets.
+
+    A blank list gives no chains; an empty token between, before or after
+    commas is refused, as it names no point.
+    """
     parts: list[str] = []
     depth = 0
     cur: list[str] = []
@@ -50,9 +54,12 @@ def _parse_sings(text: str) -> list[str]:
             cur = []
         else:
             cur.append(ch)
-    if cur:
-        parts.append("".join(cur).strip())
-    return [p for p in parts if p]
+    parts.append("".join(cur).strip())
+    if parts == [""]:
+        return []
+    if "" in parts:
+        raise ValueError("bad --sings token '': expected a chain")
+    return parts
 
 
 def _report_records(report: PipelineReport) -> list[dict]:

@@ -23,7 +23,6 @@ from typing import NamedTuple
 from .fixtures import load_fixtures
 from .hjcf import (
     HjCf,
-    _chain_shape,
     _dual_pairs,
     cf_from_pair,
     enumerate_cfs_by_shape,
@@ -334,7 +333,7 @@ def table1_pipeline() -> PipelineReport:
 _ORDER5_CHAINS = (HjCf([2, 2, 2, 2]), HjCf([3, 2]), HjCf([5]))
 
 # The largest order cap the noA2 scan accepts.  The scan grows a little
-# faster than the square of its cap (about 0.018, 0.065, 0.26 and 10.2 s at
+# faster than the square of its cap (about 0.019, 0.072, 0.30 and 11.9 s at
 # caps 500, 1000, 2000 and 12,000 on a 2-vCPU host with Python 3.11, the
 # medians of three runs of perfbench/scaling.py), and the witness it
 # re-checks is proved for every order, so a larger cap would only run
@@ -371,9 +370,11 @@ def noA2_scan(q_cap: int = 500) -> PipelineReport:
 
     The forms need only q1, ql, the trace and the length of each chain, so
     the scan walks integers instead of chains: ``_dual_pairs`` yields one
-    unit pair (q1, ql) per class and its dual (q - ql, q - q1), and one
-    Euclid pass gives S at q1.  The dual has S' = -S, as s(q - ql, q) =
-    -s(ql, q) = -s(q1, q), and a trace criterion -1 times this one mod 3.
+    (q1, ql, trace, length) per class and its dual (q - ql, q - q1), from one
+    Euclid pass at q1 in which ql is the order of the prefix [n1..n(l-1)],
+    so no modular inverse is computed.  The dual has S' = -S, as
+    s(q - ql, q) = -s(ql, q) = -s(q1, q), and a trace criterion -1 times
+    this one mod 3; it is tested after the class unless it is self-dual.
     Only a chain that fails a check is built, to name it in the report;
     failures keep the order of a scan over the canonical chains of each q.
     """
@@ -388,30 +389,37 @@ def noA2_scan(q_cap: int = 500) -> PipelineReport:
             continue
         failed = []
         q12 = 12 * q
-        for q1, ql in _dual_pairs(q):
-            tr, l = _chain_shape(q, q1)
+        for q1, ql, tr, l in _dual_pairs(q):
             s = q1 + ql + (tr - 3 * l) * q
             trace_bad = (q1 + ql + tr * q) % 3 != 0
-            for rep, s in ((q1, s),) if q - ql == q1 else ((q1, s), (q - ql, -s)):
-                n_cfs += 1
-                x_a4 = s + 2
-                x_52 = 5 * s + q12 + 10
-                x_51 = x_52 + q12
-                # three direct calls through the module name: a call from
-                # Python code to a Python function skips the C call path of
-                # map, and the tracer counts the square tests at that name
-                hit_a4 = is_positive_square(30 * x_a4)
-                hit_52 = is_positive_square(6 * x_52)
-                hit_51 = is_positive_square(6 * x_51)
-                form_bad = x_a4 % 3 == 0 or x_52 % 3 == 0 or x_51 % 3 == 0
-                if hit_a4 or hit_52 or hit_51 or trace_bad or form_bad:
-                    failed.append((
-                        cf_from_pair(q, rep).canonical(),
-                        (30 * x_a4, 6 * x_52, 6 * x_51),
-                        (hit_a4, hit_52, hit_51),
-                        trace_bad,
-                        form_bad,
-                    ))
+            # the class, then its dual (q - ql) with -S unless it is
+            # self-dual; three direct calls through the module name each, as
+            # the tracer counts the square tests at that name and a call from
+            # Python code to a Python function skips the C call path of map
+            n_cfs += 1
+            x_a4 = s + 2
+            x_52 = 5 * s + q12 + 10
+            x_51 = x_52 + q12
+            hit_a4 = is_positive_square(30 * x_a4)
+            hit_52 = is_positive_square(6 * x_52)
+            hit_51 = is_positive_square(6 * x_51)
+            form_bad = x_a4 % 3 == 0 or x_52 % 3 == 0 or x_51 % 3 == 0
+            if hit_a4 or hit_52 or hit_51 or trace_bad or form_bad:
+                ds, hits = (30 * x_a4, 6 * x_52, 6 * x_51), (hit_a4, hit_52, hit_51)
+                failed.append((cf_from_pair(q, q1).canonical(), ds, hits, trace_bad, form_bad))
+            if q - ql == q1:
+                continue
+            n_cfs += 1
+            x_a4 = 2 - s
+            x_52 = q12 + 10 - 5 * s
+            x_51 = x_52 + q12
+            hit_a4 = is_positive_square(30 * x_a4)
+            hit_52 = is_positive_square(6 * x_52)
+            hit_51 = is_positive_square(6 * x_51)
+            form_bad = x_a4 % 3 == 0 or x_52 % 3 == 0 or x_51 % 3 == 0
+            if hit_a4 or hit_52 or hit_51 or trace_bad or form_bad:
+                ds, hits = (30 * x_a4, 6 * x_52, 6 * x_51), (hit_a4, hit_52, hit_51)
+                failed.append((cf_from_pair(q, q - ql).canonical(), ds, hits, trace_bad, form_bad))
         failed.sort(key=lambda f: f[0].entries)
         for cf, ds, hits, trace_bad, form_bad in failed:
             squares.extend(

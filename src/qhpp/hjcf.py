@@ -218,7 +218,7 @@ def enumerate_cfs_of_order(q: int) -> list[HjCf]:
     if q < 2:
         raise ValueError(f"order must be >= 2, got {q}")
     # {q1, q - ql} is a class and its dual, one unit if the class is self-dual
-    chains = (_expand_entries(q, h) for q1, ql in _dual_pairs(q) for h in {q1, q - ql})
+    chains = (_expand_entries(q, h) for q1, ql, _, _ in _dual_pairs(q) for h in {q1, q - ql})
     return [HjCf(e) for e in sorted(min(e, e[::-1]) for e in chains)]
 
 
@@ -242,31 +242,37 @@ def _units(q: int) -> bytearray:
     return live
 
 
-def _dual_pairs(q: int) -> Iterator[tuple[int, int]]:
-    """One unit pair (q1, ql), ql = q1^-1 mod q, per pair {class, dual class}
-    of the chains of order q up to reversal, in ascending q1.
+def _dual_pairs(q: int) -> Iterator[tuple[int, int, int, int]]:
+    """One (q1, ql, trace, length) per pair {class, dual class} of the chains
+    of order q up to reversal, in ascending q1: ql = q1^-1 mod q, and the
+    trace and length are those of the chain of q/q1.
 
     The chain of q/ql is the chain of q/q1 reversed, and the chain of
     q/(q - q1) its Riemenschneider dual, so the dual class is the pair
     (q - ql, q - q1).  The smallest live unit opens a pair and clears the
-    other three; a self-dual class (q - ql = q1) is yielded once.
+    other three; a self-dual class (q - ql = q1) is yielded once.  One Euclid
+    pass (_chain_shape) gives ql with the shape, so no inverse is computed.
     """
     live = _units(q)
     for q1 in compress(range(q), live):
-        ql = pow(q1, -1, q)
+        tr, l, ql = _chain_shape(q, q1)
         live[ql] = live[q - q1] = live[q - ql] = 0
-        yield q1, ql
+        yield q1, ql, tr, l
 
 
-def _chain_shape(q: int, q1: int) -> tuple[int, int]:
-    """(trace, length) of the chain of q/q1 without building its entries.
+def _chain_shape(q: int, q1: int) -> tuple[int, int, int]:
+    """(trace, length, ql) of the chain of q/q1 without building its entries.
 
     One Hirzebruch-Jung Euclid pass, as in _expand_entries, except that a run
     of entries 2 takes a single divmod: while the entry is 2, a - b stays
-    fixed at d, so from (a, b) with d <= b the run has b // d entries.
+    fixed at d, so from (a, b) with d <= b the run has b // d entries.  The
+    pass also carries the orders u of the chain's prefixes, which grow by the
+    fixed step u - u_prev along a run of 2s.  The last is q, and the one
+    before it, the order of [n1..n(l-1)], is ql = q1^-1 mod q.
     """
     a, b = q, q1
     trace = length = 0
+    u_prev, u = 0, 1
     while b:
         d = a - b
         if d <= b:
@@ -274,12 +280,15 @@ def _chain_shape(q: int, q1: int) -> tuple[int, int]:
             trace += 2 * run
             length += run
             a = b + d
+            step = u - u_prev
+            u_prev, u = u + (run - 1) * step, u + run * step
         else:
             n = -(-a // b)
             trace += n
             length += 1
             a, b = b, n * b - a
-    return trace, length
+            u_prev, u = u, n * u - u_prev
+    return trace, length, u_prev
 
 
 def _expand_entries(q: int, q1: int) -> tuple[int, ...]:

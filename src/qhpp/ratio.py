@@ -76,6 +76,12 @@ def _format_over(num: int, den: int) -> str:
     return str(num // g) if den == g else f"{num // g}/{den // g}"
 
 
+# _SQUARE_MOD_64[k] is True exactly when k is a square mod 64: 12 of the 64
+# residues, so a non-square is most often refused before isqrt (bools, not
+# bytes, so that the test answers a bool)
+_SQUARE_MOD_64 = tuple(k in {i * i % 64 for i in range(64)} for k in range(64))
+
+
 def is_positive_square(x: Fraction | int) -> bool:
     """True iff ``x`` is a positive integer that is a perfect square.
 
@@ -85,7 +91,10 @@ def is_positive_square(x: Fraction | int) -> bool:
     positive integers that are not squares.
     """
     n = x.numerator
-    return n > 0 and (r := isqrt(n)) * r == n and x.denominator == 1
+    return (
+        n > 0 and _SQUARE_MOD_64[n & 63]
+        and (r := isqrt(n)) * r == n and x.denominator == 1
+    )
 
 
 def rational_sqrt(x: Fraction | int) -> Fraction:

@@ -15,7 +15,7 @@ import random
 import sys
 from fractions import Fraction
 from itertools import product
-from math import ceil, floor, gcd, lcm
+from math import ceil, floor, gcd, isqrt, lcm
 
 import pytest
 
@@ -46,7 +46,7 @@ from qhpp.obstruction import (
     local_discrepancy,
     solve_dioph,
 )
-from qhpp.ratio import format_rational as _format_rational, is_positive_square
+from qhpp.ratio import format_rational as _format_rational
 from qhpp.surface import BmyStatus, candidate_invariants as _candidate_invariants, dp_data
 
 # ---------------------------------------------------------------------------
@@ -222,8 +222,15 @@ def dedekind_sum(h: int, k: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# printed rationals (qhpp.ratio)
+# rationals (qhpp.ratio)
 # ---------------------------------------------------------------------------
+
+
+def is_positive_square(x) -> bool:
+    """x is a positive integer and a perfect square, by isqrt alone:
+    `is_positive_square`, which first refuses the non-squares mod 64."""
+    n = x.numerator
+    return n > 0 and x.denominator == 1 and isqrt(n) ** 2 == n
 
 
 def format_rational(x) -> str:
@@ -711,13 +718,43 @@ def quadratic_filter(cand, m_values, targets):
     }
 
 
+def classify_row(rows) -> str:
+    """The elimination rule of a row of chains, as entry tuples, read from
+    its largest entries: `enumeration._classify_row`.  At least two entries
+    reach n exactly when the second largest does, so A is a largest entry of
+    6 or more, B a chain whose second largest entry is 3 or more, and C a
+    second largest entry of 4 or more in the whole row, tried in that order.
+    """
+    every = sorted(n for entries in rows for n in entries)
+    if every[-1] >= 6:
+        return "A"
+    if any(len(entries) >= 2 and sorted(entries)[-2] >= 3 for entries in rows):
+        return "B"
+    if len(every) >= 2 and every[-2] >= 4:
+        return "C"
+    return "residual"
+
+
+def step5_shapes(l: int, nj: int) -> set[tuple[int, ...]]:
+    """The length-l chains over the entries {2, 3, nj}, up to reversal, that
+    `enumeration._step5_shapes` admits by its docstring: for nj >= 3 exactly
+    one entry is 3 or more and it is nj; for nj = 2 every entry is 2 or 3,
+    with at most one 3."""
+    shapes = set()
+    for ent in product(sorted({2, 3, nj}), repeat=l):
+        big = [n for n in ent if n >= 3]
+        if (big == [nj]) if nj >= 3 else (len(big) <= 1):
+            shapes.add(min(ent, ent[::-1]))
+    return shapes
+
+
 def noA2_loop(q_cap, shift=frozenset()):
     """(classes, square lines, witness lines) of the noA2 loop over the
     canonical `HjCf` chains of each order: `noA2_scan`, with a class
     (q, {q1, ql}) per chain.
 
-    ``shift`` holds (q, q1) pairs at which the scan's ``_chain_shape`` is
-    made to read the trace one larger, to drive the witness checks into
+    ``shift`` holds (q, q1) pairs at which the scan's walk, ``_dual_pairs``,
+    is made to read the trace one larger, to drive the witness checks into
     failure.  Only the unit that opens a pair of classes, the smallest of
     q1, ql, q - q1 and q - ql, is read, and its shift moves S by q; the dual
     class, whose S is -S, moves by -q.  So the trace is taken one larger at

@@ -205,6 +205,19 @@ def test_candidate_with_an_empty_chain_is_input_error(capsys, sings):
     assert (code, out, err) == (2, "", "error: the empty chain [] is not a singularity\n")
 
 
+@pytest.mark.parametrize("sings", ["[2],,[3]", "[2],", "[2], ,[3]", ",[2]"])
+def test_candidate_with_an_empty_token_is_input_error(capsys, sings):
+    # an empty token names no point; it is refused, not dropped
+    code, out, err = run(capsys, "candidate", "--sings", sings)
+    assert (code, out, err) == (2, "", "error: bad --sings token '': expected a chain\n")
+
+
+@pytest.mark.parametrize("sings", ["", " "])
+def test_candidate_with_no_singularity_is_input_error(capsys, sings):
+    code, out, err = run(capsys, "candidate", "--sings", sings)
+    assert (code, out, err) == (2, "", "error: a candidate needs at least one singularity\n")
+
+
 def test_candidate_past_its_det_r_digit_limit_is_input_error(capsys):
     # det R is the product of the orders: 10^1000 - 10^990 is inside, 10^1000 past
     limit = surface.DET_R_DIGIT_LIMIT

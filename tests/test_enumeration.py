@@ -3,7 +3,8 @@
 import json
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from collections import Counter
+from itertools import combinations_with_replacement, product
 from math import gcd
 
 import pytest
@@ -434,6 +435,30 @@ def test_dp3_triples_are_the_spherical_triples_less_the_2_2_k_family():
         excluded = (a, b) == (2, 2) and c >= 3
         assert ((a, b, c) in enumeration._DP3_TRIPLES) == (spherical and not excluded), (a, b, c)
     assert enumeration._DP3_TRIPLES == {(2, 2, 2), (2, 3, 3), (2, 3, 4), (2, 3, 5)}
+
+
+def test_classify_row_follows_its_rules_in_order():
+    # rules A (an entry >= 6), B (a chain with two entries >= 3) and C (two
+    # entries >= 4 in the row), tried in that order, on every one-chain row
+    # of length <= 6 and every two-chain row of chains of length <= 2, with
+    # entries 2..7
+    chains = [ent for l in range(1, 7) for ent in product(range(2, 8), repeat=l)]
+    short = [ent for ent in chains if len(ent) <= 2]
+    rows = [(ent,) for ent in chains] + list(product(short, repeat=2))
+    labels = Counter()
+    for row in rows:
+        label = enumeration._classify_row([HjCf(ent) for ent in row])
+        assert label == oracles.classify_row(row), row
+        labels[label] += 1
+    assert set(labels) == {"A", "B", "C", "residual"}
+
+
+def test_step5_shapes_follow_their_docstring():
+    # every length up to 9 and every met component -2 .. -7, wider than the
+    # bundled sub-cases (l <= 9, nj <= 5)
+    for l in range(1, 10):
+        for nj in range(2, 8):
+            assert enumeration._step5_shapes(l, nj) == oracles.step5_shapes(l, nj), (l, nj)
 
 
 def test_residual_sweep_leaves_out_the_2_2_k_family():

@@ -299,12 +299,14 @@ def test_evaluation_matches_fraction_oracle_small():
 
 
 def test_chain_shape_matches_the_chain():
-    # every coprime pair with q <= 300, orders divisible by 2, 3 or 5 included
+    # every coprime pair with q <= 300, orders divisible by 2, 3 or 5
+    # included; ql, the order of the chain less its last entry, is q1^-1
     for q in range(2, 301):
         for q1 in range(1, q):
             if gcd(q, q1) == 1:
                 cf = cf_from_pair(q, q1)
-                assert _chain_shape(q, q1) == (cf.trace, cf.l), (q, q1)
+                assert _chain_shape(q, q1) == (cf.trace, cf.l, cf.ql), (q, q1)
+                assert cf.ql == pow(q1, -1, q), (q, q1)
 
 
 def test_dual_pairs_match_a_gcd_walk():
@@ -314,8 +316,9 @@ def test_dual_pairs_match_a_gcd_walk():
     for q in range(2, 2001):
         ref = {frozenset((q1, pow(q1, -1, q))) for q1 in range(1, q) if gcd(q, q1) == 1}
         met = []
-        for q1, ql in _dual_pairs(q):
+        for q1, ql, tr, l in _dual_pairs(q):
             assert q1 * ql % q == 1, (q, q1)
+            assert (tr, l) == _chain_shape(q, q1)[:2], (q, q1)
             met.append(frozenset((q1, ql)))
             if q - ql != q1:
                 met.append(frozenset((q - ql, q - q1)))
@@ -327,8 +330,8 @@ def test_self_dual_class_is_yielded_once():
     # [2,3,3] of 13/8, its reverse, so the class (5, 8) is its own dual
     assert cf_from_pair(13, 5).entries == (3, 3, 2)
     assert cf_from_pair(13, 8).entries == (2, 3, 3)
-    rows = [pair for pair in _dual_pairs(13) if 5 in pair or 8 in pair]
-    assert rows == [(5, 8)]
+    rows = [row for row in _dual_pairs(13) if 5 in row[:2] or 8 in row[:2]]
+    assert rows == [(5, 8, 8, 3)]
 
 
 def test_cf_from_pair_bounds_the_chain_length():

@@ -4,10 +4,13 @@
 ``noA2_loop`` is the scan's loop as it ran over the canonical chains of
 ``enumerate_cfs_of_order``.  The walk (``_dual_pairs``) visits each pair
 {class, dual class} once, as the unit pair (q1, ql) of the class that opens
-it, builds no chain, and gives the dual class (q - ql, q - q1) the Dedekind
-sum -S.  The tests record every class it visits and compare with the
-oracle.  The second oracle is the Dedekind sum ``dedekind12``, computed by
-reciprocity with no chain at all, so it checks S and -S independently.
+it with the trace and length of its chain.  ql is the order of the prefix
+[n1..n(l-1)], found in the same Euclid pass, so no modular inverse is
+computed.  The walk builds no chain, and the scan gives the dual class
+(q - ql, q - q1) the Dedekind sum -S.  The tests record every class it
+visits and compare with the oracle.  The second oracle is the Dedekind sum
+``dedekind12``, computed by reciprocity with no chain at all, so it checks
+S and -S independently.
 """
 
 from collections import Counter, deque
@@ -17,30 +20,25 @@ import pytest
 
 import qhpp.enumeration as enumeration
 from qhpp.enumeration import noA2_scan
-from qhpp.hjcf import _chain_shape, _dual_pairs
+from qhpp.hjcf import _dual_pairs
 from qhpp.ratio import is_positive_square
 from tests import oracles
 
 
 def walk(monkeypatch, q_cap, shift=frozenset()):
     """Run noA2_scan, recording (q, {q1, ql}) per class the walk yields or
-    pairs with its dual; ``_chain_shape`` reads the trace one larger at each
-    (q, q1) in ``shift``, as ``oracles.noA2_loop`` takes it."""
+    pairs with its dual; the walk reads the trace one larger at each (q, q1)
+    in ``shift``, as ``oracles.noA2_loop`` takes it."""
     classes = []
 
     def pairs(q):
-        for q1, ql in _dual_pairs(q):
+        for q1, ql, tr, l in _dual_pairs(q):
             classes.append((q, frozenset((q1, ql))))
             if q - ql != q1:
                 classes.append((q, frozenset((q - ql, q - q1))))
-            yield q1, ql
-
-    def shape(q, q1):
-        tr, l = _chain_shape(q, q1)
-        return tr + ((q, q1) in shift), l
+            yield q1, ql, tr + ((q, q1) in shift), l
 
     monkeypatch.setattr(enumeration, "_dual_pairs", pairs)
-    monkeypatch.setattr(enumeration, "_chain_shape", shape)
     return classes, noA2_scan(q_cap)
 
 
@@ -111,7 +109,7 @@ def walk_to_2000():
 
     def pairs(q):
         nonlocal visited
-        for q1, ql in _dual_pairs(q):
+        for q1, ql, tr, l in _dual_pairs(q):
             if ql != pow(q1, -1, q):
                 identity_failures.append((q, q1))
             for h in (q1,) if q - ql == q1 else (q1, q - ql):
@@ -121,7 +119,7 @@ def walk_to_2000():
                 expected.extend(((q, h), m * x) for m, x in zip((30, 6, 6), forms))
                 if s % 3 != 0 or tuple(x % 3 for x in forms) != (2, 1, 1):
                     congruence_failures.append((q, h))
-            yield q1, ql
+            yield q1, ql, tr, l
 
     def square(d):
         where, want = expected.popleft()

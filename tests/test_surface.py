@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -52,6 +53,28 @@ def test_is_positive_square():
     for n in (1, 4, 9216, big * big, 0, -4, 260, big * big + 1):
         assert is_positive_square(Fraction(n, 1)) == is_positive_square(n)
     assert not is_positive_square(Fraction(big * big, 4))
+
+
+def test_is_positive_square_matches_the_isqrt_rule():
+    # the table of squares mod 64 refuses only non-squares: every small int,
+    # the neighbours of fifty 40-digit squares, Fractions whose numerator or
+    # denominator alone is a square, and the bools
+    rng = random.Random(64)
+    big = [rng.randrange(10**39, 10**40) for _ in range(50)]
+    halves = [
+        Fraction(a, b) for m in range(2, 40) for n in (2, 3, 5, 6, 7, 8, 10, 12)
+        for a, b in ((m * m, n), (n, m * m)) if gcd(m, n) == 1
+    ]
+    corpus = [
+        *range(-1_000, 200_001),
+        *(k * k + e for k in big for e in (-1, 0, 1)),
+        *halves,
+        True,
+        False,
+    ]
+    oracles.agree(is_positive_square, oracles.is_positive_square, corpus)
+    # the answer is a bool, as reports print it
+    assert {type(is_positive_square(x)) for x in corpus} == {bool}
 
 
 def test_rational_sqrt():

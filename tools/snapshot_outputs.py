@@ -3,17 +3,18 @@
     python3 tools/snapshot_outputs.py DIR [--root CHECKOUT]
 
 Runs ``qhpp verify --all``, ``qhpp enumerate --pipeline P --format F`` for
-every pipeline P and every format F, the noA2 scan at the benchmark's cap of
-2000 as JSON, and a fixed set of single requests (``cf-info``,
-``candidate``, ``gram``, three ``gram`` edge errors, a ``gram`` past its
-Hadamard digit limit, ``dioph``, a two-variable ``dioph`` of a million
-leaves, one past the node budget, a ``dioph`` input error, a ``dioph``
-rational past its digit limit, a ``dioph`` of rationals padded with leading
-zeros, a chain whose order passes its bound, a chain padded with 5,000
-leading zeros and a malformed one, a usage error, ``--help`` and each
-command's ``--help``), each in a fresh interpreter on the ``src/`` of
-CHECKOUT (default: the checkout holding this script), with the bundled
-reference tables and an 80-column terminal width.
+every pipeline P and every format F, the noA2 scan at the benchmark's cap
+of 2000 as JSON, and a fixed set of single requests (``cf-info``,
+``candidate``, a ``candidate`` with an empty token, ``gram``, three
+``gram`` edge errors, a ``gram`` past its Hadamard digit limit, ``dioph``,
+a two-variable ``dioph`` of a million leaves, one past the node budget, a
+``dioph`` input error, a ``dioph`` rational past its digit limit, a
+``dioph`` of rationals padded with leading zeros, a chain whose order
+passes its bound, a chain padded with 5,000 leading zeros and a malformed
+one, a usage error, ``--help`` and each command's ``--help``), each in a
+fresh interpreter on the ``src/`` of CHECKOUT (default: the checkout
+holding this script), with the bundled reference tables and an 80-column
+terminal width.
 ``api.txt`` lists the sorted ``__all__`` of ``qhpp`` and of each of its
 modules.  Each file holds the command's stdout, then its stderr, then a line
 ``rc=N`` with its exit code.
@@ -42,6 +43,8 @@ REQUESTS = {
     # a malformed token gets int's own text, not CPython's on passing its limit
     "cf-info-zero-padded-malformed.txt": ["cf-info", "0" * 5_000 + "x"],
     "candidate.txt": ["candidate", "--sings", "[2],[2,2],[7],[13]"],
+    # an empty token names no point: refused, not dropped
+    "candidate-empty-token.txt": ["candidate", "--sings", "[2],,[3]"],
     "gram-negative-diag.txt": ["gram", "--diag", "-1,-2,-3,-5", "--edges", "1-2,1-3,1-4"],
     "gram-edge-out-of-range.txt": ["gram", "--diag", "-1,-2", "--edges", "1-5"],
     "gram-edge-loop.txt": ["gram", "--diag", "-1,-2", "--edges", "1-1"],

@@ -4,8 +4,9 @@
 
 Runs the tier-1 command (``python -m pytest -q
 --continue-on-collection-errors``) in CHECKOUT (default: the checkout
-holding this script) with ``src/`` on ``PYTHONPATH``, ``--durations=0`` and
-the cache plugin off, and prints one JSON object: the wall time in seconds,
+holding this script) with ``src/`` on ``PYTHONPATH``, ``--durations=0
+--durations-min=0`` (so no setup, call or teardown is hidden for being short)
+and the cache plugin off, and prints one JSON object: the wall time in seconds,
 the pass and fail counts, the failing test ids, and the seconds per test file (setup, call and
 teardown summed from pytest's durations).  It is not itself a test: compare
 two trees by running it on both, on one host.
@@ -74,7 +75,7 @@ def main(argv: list[str] | None = None) -> int:
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     start = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, *COMMAND, "--durations=0", "-p", "no:cacheprovider"],
+        [sys.executable, *COMMAND, "--durations=0", "--durations-min=0", "-p", "no:cacheprovider"],
         capture_output=True, text=True, env=env, cwd=root, check=False,
     )
     wall_s = time.perf_counter() - start
