@@ -334,15 +334,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 # dioph and gram take signed numbers, which may start with a minus sign
 _VALUE_FLAGS = {*_COMMANDS["dioph"][2], *_COMMANDS["gram"][2]}
+# the flags of every command that take a value, and their abbreviations
+_TAKES_VALUE = {name[:k] for _, _, arguments in _COMMANDS.values() for name, kwargs in arguments.items()
+                if name.startswith("-") and "action" not in kwargs for k in range(3, len(name) + 1)}
 
 
 def _merge_negative_values(argv: list[str]) -> list[str]:
-    """Join flag values that start with a minus sign (e.g. --diag -1,-2)."""
+    """Join flag values that start with a minus sign (--diag -1,-2), and split
+    a value of exactly -- off its flag or its prefix (--diag=--) before any
+    bare --: argparse reads it as an empty list, and split, as no value."""
     out: list[str] = []
     skip = False
     for i, tok in enumerate(argv):
         if skip:
             skip = False
+            continue
+        flag, _, value = tok.partition("=")
+        if value == "--" and flag in _TAKES_VALUE and "--" not in argv[:i]:
+            out += [flag, "--"]
             continue
         if tok in _VALUE_FLAGS and i + 1 < len(argv) and argv[i + 1].startswith("-"):
             nxt = argv[i + 1]

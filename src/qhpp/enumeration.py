@@ -310,7 +310,7 @@ def table1_pipeline() -> PipelineReport:
     the candidates whose discriminant D = det(R) * K^2 is a positive square."""
     families = enumerate_order_tuples()
     bounded = [f for f in families if f.free_max is not None or f.free_min is None]
-    tuples = sorted(t for fam in bounded for t in fam.instances(41))
+    tuples = sorted(t for fam in bounded for t in fam.instances(fam.free_max))
     classes = {q: enumerate_cfs_of_order(q) for q in set().union(*tuples)}
     per_tuple = {
         str(orders): math.prod(len(classes[q]) for q in orders) for orders in tuples

@@ -912,6 +912,42 @@ def test_verify_has_no_threads_flag(capsys):
     assert "unrecognized arguments: --threads 2" in err
 
 
+# a well-formed request to each command, less the command name
+BASE_REQUESTS = {
+    "cf-info": ["[2]"],
+    "candidate": ["--sings", "[2]"],
+    "enumerate": ["--pipeline", "step5"],
+    "verify": ["--all"],
+    "dioph": ["--coeffs", "1/2", "--target", "1"],
+    "gram": ["--diag", "-1,-2"],
+}
+TAKES_VALUE = [
+    (command, name)
+    for command, (_, _, arguments) in cli._COMMANDS.items()
+    for name, kwargs in arguments.items()
+    if name.startswith("--") and "action" not in kwargs
+]
+
+
+@pytest.mark.parametrize("command, flag", TAKES_VALUE)
+def test_a_flag_value_of_exactly_two_dashes_is_usage_error(capsys, command, flag):
+    # argparse reads --flag=-- as an empty list; split, it lacks its value
+    argv = list(BASE_REQUESTS[command])
+    if flag in argv:
+        del argv[argv.index(flag):argv.index(flag) + 2]
+    code, out, err = run(capsys, command, *argv, f"{flag}=--")
+    assert (code, out) == (2, "")
+    assert err.endswith(f"qhpp {command}: error: argument {flag}: expected one argument\n")
+
+
+def test_the_pre_pass_splits_two_dashes_off_value_flags_only():
+    # an abbreviation is split too; a store_true flag, a positional and a
+    # token after a bare -- are left to argparse as they are
+    assert _merge_negative_values(["dioph", "--coef=--"]) == ["dioph", "--coef", "--"]
+    for argv in (["verify", "--all=--"], ["cf-info", "x=--"], ["cf-info", "--", "--format=--"]):
+        assert _merge_negative_values(argv) == argv
+
+
 # ---------------------------------------------------------------------------
 # main in one process, against a fresh interpreter and against argparse
 # ---------------------------------------------------------------------------
@@ -946,9 +982,9 @@ REQUESTS = [
     ["-h", "cf-info"],
     ["nope"],
     ["gram", "--diag", "-1,-2", "--edges", "1-2-3"],
-    # forms only argparse answers (a value of "--", which argparse drops, a
-    # repeated flag, an empty choice, a negative number as a positional), and
-    # values joined by "=", which the plain parse answers too
+    # forms only argparse answers (a value of "--", which the pre-pass splits
+    # off its flag, a repeated flag, an empty choice, a negative number as a
+    # positional), and values joined by "=", which the plain parse answers too
     ["candidate", "--sings=--"],
     ["cf-info", "[3,2]", "--format", "json", "--format", "text"],
     ["enumerate", "--pipeline=step5", "--format="],

@@ -73,6 +73,18 @@ def test_table1_counts_and_fixture_match():
     assert sum(v for k, v in per_tuple.items() if k != "(2, 3, 11, 13)") == 1008
 
 
+def test_table1_reads_each_familys_own_order_bound(monkeypatch):
+    # no cap of table1's own stops the scan short of a family's free_max
+    real = enumeration.enumerate_order_tuples
+
+    def wider():
+        return [f._replace(free_max=43) if f.fixed_orders == (2, 3, 7) else f for f in real()]
+
+    monkeypatch.setattr(enumeration, "enumerate_order_tuples", wider)
+    per_tuple = table1_pipeline().details["per_tuple_types"]
+    assert "(2, 3, 7, 43)" in per_tuple and "(2, 3, 11, 13)" in per_tuple
+
+
 def test_table1_row_values():
     report = table1_pipeline()
     by_no = {s["no"]: s for s in report.survivors}
@@ -142,6 +154,31 @@ def test_q20_tallies_by_a_burnside_count():
         tallies.append(count)
     assert tallies == [40, 80, 6] and sum(tallies) == 126
     assert lemma_q20_pipeline().details["case_tallies"] == tallies
+
+
+def test_q20_trace_window_holds_every_chain_its_bound_admits():
+    # each (p3, l) window against its docstring: every fourth chain of
+    # length l, traced three past either end, with 0 < K^2 <= 1/10 + 3/q in
+    # Fraction sums has its trace in the window; chains sit at both ends, so
+    # a window one narrower at either end fails
+    head = [HjCf([2]), HjCf([3])]
+    windows = checked = at_lo = at_hi = 0
+    for p3 in enumeration._ORDER5_CHAINS:
+        third = dp_data(p3)
+        dp_sq = Fraction(-third.dp_dot_k_num, third.q)
+        for l in range(1, 11 - 2 - p3.l + 1):
+            windows += 1
+            lo, hi = enumeration._q20_trace_window(l, l + 2 + p3.l, dp_sq)
+            for tr in range(max(2 * l, lo - 3), hi + 4):
+                for entries in oracles.shape_classes(l, tr):
+                    cf = HjCf(entries)
+                    ks2 = oracles.candidate_invariants([*head, p3, cf])[0]
+                    checked += 1
+                    if 0 < ks2 <= Fraction(1, 10) + Fraction(3, cf.q):
+                        assert lo <= tr <= hi, (p3, cf, ks2)
+                        at_lo += tr == lo
+                        at_hi += tr == hi
+    assert (windows, checked, at_lo, at_hi) == (20, 1_902, 9, 1)
 
 
 def test_burnside_count_matches_a_plain_count():

@@ -141,25 +141,28 @@ def test_solver_on_edge_cases():
 def test_dp_data_is_a_plain_function_over_a_memo():
     # the tracer wraps plain public functions only
     assert isinstance(qhpp.surface.dp_data, types.FunctionType)
-    memo = qhpp.surface._DP_MEMO
-    memo.clear()
+    memo = qhpp.surface._dp_memo
+    memo.cache_clear()
     cf = HjCf([3, 2, 4])
     record = dp_data(cf)
     assert record is dp_data(HjCf(cf.entries)) is dp_data("[3,2,4]")
-    # keyed on the entry tuple; a miss keeps the chain it was given
-    assert list(memo) == [(3, 2, 4)]
+    # keyed on the chain, so equal chains and its text hit; a miss keeps
+    # the chain it was given
+    info = memo.cache_info()
+    assert (info.hits, info.misses, info.currsize, info.maxsize) == (2, 1, 1, 512)
     assert record.cf is cf
     fresh = HjCf([2, 7, 3, 5])
     assert dp_data(fresh).cf is fresh
     # bounded, least recently used first out
-    size = qhpp.surface._DP_MEMO_SIZE
-    assert size == 512
-    for k in range(2, size + 1):
+    for k in range(2, 512 + 1):
         dp_data(HjCf([k + 1]))
         dp_data(cf)
-    assert len(memo) == size
-    assert (3, 2, 4) in memo and fresh.entries not in memo
+    assert memo.cache_info().currsize == 512
+    misses = memo.cache_info().misses
     assert dp_data(cf) is record
+    again = HjCf(fresh.entries)
+    assert dp_data(again).cf is again
+    assert memo.cache_info().misses == misses + 1
 
 
 def _dp_dot_k(cf: HjCf) -> Fraction:

@@ -23,7 +23,7 @@ def _cand() -> SurfaceCandidate:
 
 # each builds a new record with the same fields on every call
 MAKERS = {
-    "CyclicSing": lambda: surface._dp_record(parse_cf("[3,2]")),
+    "CyclicSing": lambda: surface._dp_memo.__wrapped__(parse_cf("[3,2]")),
     "SurfaceCandidate": _cand,
     "GramConfig": lambda: GramConfig((-1, -2), {(0, 1): 1}),
     "Incidence": lambda: Incidence(((1,), (0, 2))),

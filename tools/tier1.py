@@ -7,9 +7,13 @@ Runs the tier-1 command (``python -m pytest -q
 holding this script) with ``src/`` on ``PYTHONPATH``, ``--durations=0
 --durations-min=0`` (so no setup, call or teardown is hidden for being short)
 and the cache plugin off, and prints one JSON object: the wall time in seconds,
-the pass and fail counts, the failing test ids, and the seconds per test file (setup, call and
-teardown summed from pytest's durations).  It is not itself a test: compare
-two trees by running it on both, on one host.
+the pass and fail counts, the failing test ids, and the seconds per test file.
+A file's seconds are its collection, the import of its module included, and
+its setup, call and teardown, summed from pytest's durations.  Collection is
+timed in the same run by this script itself, loaded as a plugin with
+``-p tier1``: it prints one ``<seconds>s collect <file>`` line per file in
+the terminal summary.  It is not itself a test: compare two trees by running
+it on both, on one host.
 
 It exits 0 when the only red is the two documented errata of the reference
 tables (``ERRATA``), and 1 when pytest reports an error or any other
@@ -26,9 +30,10 @@ import subprocess
 import sys
 import time
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(HERE)
 COMMAND = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
-DURATION = re.compile(r"^([0-9.]+)s (?:setup|call|teardown)\s+([^:\s]+)::")
+DURATION = re.compile(r"^([0-9.]+)s (?:setup|call|teardown|collect)\s+([^:\s]+)(?:::|$)")
 COUNT = re.compile(r"(\d+) (passed|failed|errors?)\b")
 FAILURE = re.compile(r"^(?:FAILED|ERROR) (\S+)")
 # the q20 tally (126, not 128) and the small-q square-D count (12, not 6)
@@ -36,6 +41,33 @@ ERRATA = {
     "tests/test_acceptance.py::test_criterion_03_q20_pipeline",
     "tests/test_acceptance.py::test_criterion_04_small_q_pipeline",
 }
+
+
+# -- the plugin: pytest loads this module with -p tier1 ----------------------
+
+# each file's collection seconds, and the start of the collector in progress
+_collect_s: dict[str, float] = {}
+_started: dict[str, float] = {}
+
+
+def pytest_collectstart(collector) -> None:
+    if collector.path.is_file():
+        _started[collector.nodeid] = time.perf_counter()
+
+
+def pytest_collectreport(report) -> None:
+    start = _started.pop(report.nodeid, None)
+    if start is not None:
+        path = report.nodeid.split("::")[0]
+        _collect_s[path] = _collect_s.get(path, 0.0) + time.perf_counter() - start
+
+
+def pytest_terminal_summary(terminalreporter) -> None:
+    for path, seconds in _collect_s.items():
+        terminalreporter.write_line(f"{seconds:.2f}s collect  {path}")
+
+
+# -- the script ----------------------------------------------------------------
 
 
 def summarise(output: str, wall_s: float) -> dict:
@@ -72,10 +104,12 @@ def main(argv: list[str] | None = None) -> int:
     root = os.path.abspath(args.root)
     env = dict(os.environ)
     src = os.path.join(root, "src")
-    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    # src for the package, this script's directory for the plugin
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, HERE, env.get("PYTHONPATH")]))
     start = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, *COMMAND, "--durations=0", "--durations-min=0", "-p", "no:cacheprovider"],
+        [sys.executable, *COMMAND, "--durations=0", "--durations-min=0",
+         "-p", "no:cacheprovider", "-p", "tier1"],
         capture_output=True, text=True, env=env, cwd=root, check=False,
     )
     wall_s = time.perf_counter() - start
