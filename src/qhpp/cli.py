@@ -111,14 +111,11 @@ def _emit_report(report: PipelineReport, fmt: str) -> None:
         print("  survivors:")
         for surv in report.survivors:
             no = f"#{surv['no']} " if surv.get("no") else ""
-            if "sings" in surv:
-                print(
-                    f"    {no}{'+'.join(surv['sings'])}  K^2={surv.get('ks2')}"
-                    f" {surv.get('cmp', '')} 3e_orb={surv.get('three_e_orb')}"
-                    f"  D={surv.get('D')}"
-                )
-            else:
-                print(f"    {no}{_json_dump(surv)}")
+            bmy = (
+                f"  K^2={surv['ks2']} {surv['cmp']} 3e_orb={surv['three_e_orb']}"
+                if "ks2" in surv else ""
+            )
+            print(f"    {no}{'+'.join(surv['sings'])}{bmy}  D={surv['D']}")
     if report.mismatches:
         print("  mismatches:")
         for m in report.mismatches:

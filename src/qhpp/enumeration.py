@@ -165,7 +165,7 @@ def _diff_rows(
 def _scan(
     label: str,
     fixture: dict,
-    cases: Iterable[Sequence[HjCf]],
+    cases: Iterable[Sequence[CyclicSing]],
     first: str,
     bmy: bool = False,
     extras: tuple[tuple[str, object, object], ...] = (),
@@ -173,32 +173,26 @@ def _scan(
     """Shared engine of the candidate scans: D of every case, the square-D
     filter, optionally the BMY filter, then the fixture diff.
 
-    ``cases`` is any iterable of chain lists, counted as it is consumed.  D
-    is tested in integers from each chain's ``dp_data`` record, fetched once
-    per distinct chain in the scan, so that only a case whose D is a
-    positive square becomes a candidate.
+    ``cases`` is any iterable of lists of ``dp_data`` records, counted as it
+    is consumed; the pipeline that builds the chains fetches each record
+    once.  D is tested in integers from the records, so that only a case
+    whose D is a positive square becomes a candidate.
 
     Mismatches come in a fixed order: stage counts, the ``(what, got, want)``
-    extras, the row diff, and the BMY rows.
+    extras, the row diff, and the BMY rows, read off the row numbers the
+    diff gave the survivors (None for a survivor the table lacks).
     """
     report = PipelineReport(label)
-    records: dict[tuple[int, ...], CyclicSing] = {}
     square: dict[tuple, SurfaceCandidate] = {}
     n_cases = 0
     for case in cases:
         n_cases += 1
-        data = []
-        for cf in case:
-            s = records.get(cf.entries)
-            if s is None:
-                s = records[cf.entries] = dp_data(cf)
-            data.append(s)
-        if is_positive_square(_det_and_d(data)[1]):
-            square[_chains_key(case)] = candidate_invariants(case)
+        if is_positive_square(_det_and_d(case)[1]):
+            cfs = [s.cf for s in case]
+            square[_chains_key(cfs)] = candidate_invariants(cfs)
     report.stages = [(first, n_cases), ("D_square", len(square))]
     if bmy:
-        survivors_bmy = {k for k, c in square.items() if c.D <= 3 * c.E}
-        report.stages.append(("BMY", len(survivors_bmy)))
+        report.stages.append(("BMY", sum(c.D <= 3 * c.E for c in square.values())))
     counts = fixture["stage_counts"]
     for name, count in report.stages:
         if name in counts:
@@ -207,12 +201,8 @@ def _scan(
         _expect(report, label, what, got, want)
     report.survivors = _diff_rows(square, fixture["rows"], report, label)
     if bmy:
-        fixture_bmy = {
-            _chains_key([parse_cf(s) for s in row["sings"]])
-            for row in fixture["rows"]
-            if row["no"] in fixture["bmy_rows"]
-        }
-        if survivors_bmy != fixture_bmy:
+        bmy_nos = {d.get("no") for d in report.survivors if d["cmp"] == "<"}
+        if bmy_nos != set(fixture["bmy_rows"]):
             report.mismatches.append(
                 f"{label}: BMY survivors differ from fixture rows {fixture['bmy_rows']}"
             )
@@ -311,12 +301,12 @@ def table1_pipeline() -> PipelineReport:
     families = enumerate_order_tuples()
     bounded = [f for f in families if f.free_max is not None or f.free_min is None]
     tuples = sorted(t for fam in bounded for t in fam.instances(fam.free_max))
-    classes = {q: enumerate_cfs_of_order(q) for q in set().union(*tuples)}
+    classes = {q: list(map(dp_data, enumerate_cfs_of_order(q))) for q in set().union(*tuples)}
     per_tuple = {
         str(orders): math.prod(len(classes[q]) for q in orders) for orders in tuples
     }
     combos = (
-        cfs for orders in tuples for cfs in product(*(classes[q] for q in orders))
+        case for orders in tuples for case in product(*(classes[q] for q in orders))
     )
 
     report = _scan("table1", load_fixtures()["table1"], combos, "types")
@@ -475,12 +465,13 @@ def lemma_q20_pipeline() -> PipelineReport:
     """Enumerate the L <= 11 candidates with orders (2, 3, 5, q), order-3
     singularity a single (-3)-curve, then filter by square D and by BMY."""
     fixture = load_fixtures()["q20"]
-    cases: list[list[HjCf]] = []
+    cases: list[list[CyclicSing]] = []
     tallies: list[int] = []
+    two, three = dp_data(HjCf([2])), dp_data(HjCf([3]))
     for p3 in _ORDER5_CHAINS:
-        head = [HjCf([2]), HjCf([3]), p3]
-        l3 = p3.l
         third = dp_data(p3)
+        head = [two, three, third]
+        l3 = p3.l
         dp_sq = Fraction(-third.dp_dot_k_num, third.q)
         count = 0
         for l in range(1, 11 - 2 - l3 + 1):
@@ -488,7 +479,7 @@ def lemma_q20_pipeline() -> PipelineReport:
             tr_min, tr_max = _q20_trace_window(l, L, dp_sq)
             for tr in range(max(2 * l, tr_min), tr_max + 1):
                 for cf in enumerate_cfs_by_shape(l, tr):
-                    cases.append(head + [cf])
+                    cases.append(head + [dp_data(cf)])
                     count += 1
         tallies.append(count)
 
@@ -512,20 +503,21 @@ def small_q_pipeline() -> PipelineReport:
     """Scan every candidate with singularities [2], [3], an order-5 type and
     any chain of order 2..19 (orders may repeat); filter by square D, then
     BMY."""
-    head = [HjCf([2]), HjCf([3])]
-    cases: list[list[HjCf]] = []
+    head = [dp_data(HjCf([2])), dp_data(HjCf([3]))]
+    thirds = [dp_data(t) for t in reversed(_ORDER5_CHAINS)]
+    cases: list[list[CyclicSing]] = []
     seen: set[tuple] = set()
     for q in range(2, 20):
-        for cf in enumerate_cfs_of_order(q):
+        for s in map(dp_data, enumerate_cfs_of_order(q)):
             # orders may repeat, so the same surface can arise with the
             # third and fourth slots swapped; dedupe on the chain multiset,
             # running from [5] down, which fixes the sings of the survivors
-            for t in reversed(_ORDER5_CHAINS):
-                key = _chains_key([t, cf])
+            for t in thirds:
+                key = _chains_key([t.cf, s.cf])
                 if key in seen:
                     continue
                 seen.add(key)
-                cases.append(head + [t, cf])
+                cases.append(head + [t, s])
 
     report = _scan("small-q", load_fixtures()["small_q"], cases, "cases", bmy=True)
     report.details["bmy_count"] = report.stages[-1][1]

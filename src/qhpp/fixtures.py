@@ -40,8 +40,8 @@ SCHEMA = {
         "sings": [_CHAIN], "ks2": _RATIONAL, "D": _RATIONAL, "L": int, "m_bound": _RATIONAL,
         "target": _RATIONAL, "coeffs": [_RATIONAL], "solutions": [[int]],
     },
-    "q20": {"stage_counts": dict, "case_tallies": list, "rows": [_Q_ROW], "bmy_rows": list},
-    "small_q": {"stage_counts": dict, "rows": [_Q_ROW], "bmy_rows": list},
+    "q20": {"stage_counts": dict, "case_tallies": list, "rows": [_Q_ROW], "bmy_rows": [int]},
+    "small_q": {"stage_counts": dict, "rows": [_Q_ROW], "bmy_rows": [int]},
     "l11_cases": [{
         "case": object, "row": int, "c": int, "D": object, "D_prime": object,
         "m_bound": object, "m_values": object, "eliminated_by": object,
@@ -117,16 +117,22 @@ def _check_schema(data, where: str) -> None:
 
 
 def _check_rows(data: dict, where: str) -> None:
-    """Raise ValueError naming the file and the dotted path of an l11 case
-    or a step6 case that names a row its table lacks, of a gram edge that
-    names a vertex its diagonal lacks, joins a vertex to itself or repeats
-    an earlier pair, of a gram entry without exactly one of det and abs_det,
-    or of a gram entry past the limits of ``GramConfig.matrix``."""
+    """Raise ValueError naming the file and the dotted path of an l11 case,
+    a step6 case or a q20 or small_q ``bmy_rows`` entry that names a row its
+    table lacks, of a gram edge that names a vertex its diagonal lacks,
+    joins a vertex to itself or repeats an earlier pair, of a gram entry
+    without exactly one of det and abs_det, or of a gram entry past the
+    limits of ``GramConfig.matrix``."""
     named = [(f"l11_cases[{i}].row", case["row"], "q20") for i, case in enumerate(data["l11_cases"])]
     named += [
         (f"step6.{key}", int(key[4:]), "table1")
         for key in data["step6"]
         if key.startswith("case") and key[4:].isdecimal()
+    ]
+    named += [
+        (f"{table}.bmy_rows[{i}]", no, table)
+        for table in ("q20", "small_q")
+        for i, no in enumerate(data[table]["bmy_rows"])
     ]
     for path, no, table in named:
         if no not in {row["no"] for row in data[table]["rows"]}:

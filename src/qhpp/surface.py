@@ -81,10 +81,11 @@ def dp_data(cf: HjCf | str) -> CyclicSing:
     Chains are immutable, so records are memoised on the chain by
     ``_dp_memo``, a functools.lru_cache of the 512 most recently used
     (``_dp_memo.cache_info()`` counts its hits); a miss keeps the chain it
-    was given.  A `verify --all` run makes 39,453 calls, of which a share of
+    was given.  A `verify --all` run makes 39,455 calls, of which a share of
     0.135 name a chain not asked for before, and a pass of the six pipelines
-    makes 716, 277 of them misses: the candidate scans fetch each distinct
-    chain's record once, and build a candidate only for a square D.
+    makes 718, 277 of them misses: the candidate scans fetch each chain's
+    record once, where they build the chain, and build a candidate only for
+    a square D.
     """
     if isinstance(cf, str):
         cf = parse_cf(cf)

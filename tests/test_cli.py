@@ -462,6 +462,16 @@ def test_enumerate_mismatching_pipeline_exits_one(capsys):
     assert "126" in out
 
 
+def test_enumerate_text_prints_bmy_cells_only_for_a_scan_survivor(capsys):
+    # an l11 survivor carries no K^2 or 3e_orb cell; a q20 survivor carries both
+    code, out, _ = run(capsys, "enumerate", "--pipeline", "l11")
+    assert code == 0
+    assert "None" not in out and "K^2" not in out
+    assert "    [2]+[3]+[5]+[2,2,2,2,2,2,2,2]  D=36\n" in out
+    _, out, _ = run(capsys, "enumerate", "--pipeline", "q20")
+    assert "    #1 [2]+[3]+[5]+[2,2,2,2,2,2,2,2]  K^2=2/15 < 3e_orb=13/30  D=36\n" in out
+
+
 def test_enumerate_json_stable(capsys):
     # --threads is still accepted, hidden from --help, and changes nothing
     code1, out1, _ = run(capsys, "enumerate", "--pipeline", "table1", "--format", "json")
@@ -597,6 +607,7 @@ def test_fixture_table_of_the_wrong_shape_is_input_error(capsys, tables, table, 
         (("gram", 1, "det"), 13, "gram[1] must give exactly one of det and abs_det"),
         (("lemma24", "target"), "1/0",
          "lemma24.target is not a rational: zero denominator in '1/0'"),
+        (("q20", "bmy_rows", 0), "1", "q20.bmy_rows[0] must be a JSON integer, got string"),
     ],
 )
 def test_nested_fixture_value_of_the_wrong_shape_is_input_error(
@@ -672,6 +683,10 @@ def test_fixture_gram_past_its_limits_is_input_error_before_any_output(
          "gram[0].edges[1] repeats an earlier pair"),
         ("step5", ("gram", 0, "edges"), [[0, 1], [0, 1]],
          "gram[0].edges[1] repeats an earlier pair"),
+        ("q20", ("q20", "bmy_rows"), [1, 2, 3, 4, 99],
+         "q20.bmy_rows[4] names row 99, which q20.rows lacks"),
+        ("small-q", ("small_q", "bmy_rows"), [1, 77],
+         "small_q.bmy_rows[1] names row 77, which small_q.rows lacks"),
     ],
 )
 def test_fixture_value_naming_something_absent_is_input_error(

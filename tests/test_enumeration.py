@@ -243,11 +243,28 @@ def test_scan_counts_a_candidate_on_the_bmy_bound(sings, ks2, det_r):
     assert (cand.D, 3 * cand.E, cand.det_r) == (81, 81, det_r)
     row = {"no": 1, "sings": sings, "ks2": ks2, "cmp": "<", "three_e_orb": ks2}
     fixture = {"stage_counts": {"BMY": 1}, "rows": [row], "bmy_rows": [1]}
-    cfs = [parse_cf(s) for s in sings]
-    report = enumeration._scan("edge", fixture, [cfs], "cases", bmy=True)
+    report = enumeration._scan("edge", fixture, [[dp_data(s) for s in sings]], "cases", bmy=True)
     assert report.stages == [("cases", 1), ("D_square", 1), ("BMY", 1)]
     assert [(s["cmp"], s["D"], s["three_e_orb"]) for s in report.survivors] == [("<", "81", ks2)]
     assert report.mismatches == []
+
+
+@pytest.mark.parametrize(
+    ("pipeline", "fetched", "cases"),
+    # table1: its 133 chain classes; q20: [2], [3], the three order-5 points
+    # and one shape chain per case; small-q: [2], [3], the three order-5
+    # points and the 81 chains of order 2..19
+    [
+        (table1_pipeline, 133, 1_092),
+        (lemma_q20_pipeline, 5 + 126, 126),
+        (small_q_pipeline, 5 + 81, 240),
+    ],
+)
+def test_scan_pipelines_fetch_each_record_where_they_build_the_chain(pipeline, fetched, cases):
+    with oracles.recording(enumeration, "dp_data") as calls:
+        report = pipeline()
+    assert report.stages[0][1] == cases
+    assert len(calls) == fetched
 
 
 # ---------------------------------------------------------------------------
@@ -257,14 +274,14 @@ def test_scan_counts_a_candidate_on_the_bmy_bound(sings, ks2, det_r):
 
 def reports_of_both_scans(monkeypatch, pipeline) -> tuple[PipelineReport, PipelineReport]:
     """The pipeline's report through _scan, then through the candidate scan
-    of oracles.py (given its cases as a list of lists, which it reads
-    twice)."""
+    of oracles.py (given each case's records mapped back to their chains, as
+    a list of lists, which it reads twice)."""
     got = pipeline()
     with monkeypatch.context() as m:
         m.setattr(
             enumeration, "_scan",
             lambda label, fixture, cases, *args, **kwargs: oracles.candidate_scan(
-                label, fixture, [list(case) for case in cases], *args, **kwargs
+                label, fixture, [[s.cf for s in case] for case in cases], *args, **kwargs
             ),
         )
         want = pipeline()
@@ -317,10 +334,11 @@ def test_scan_matches_the_candidate_per_case_scan_on_synthetic_cases(fixture):
     cases = _small_q_like_cases()
     want = oracles.candidate_scan("synthetic", fixture, cases, "cases", bmy=True)
     assert want.stages[1][1] > 12 and want.stages[2][1] > 1
-    # the same chain objects, reused across cases and fed lazily
-    assert enumeration._scan("synthetic", fixture, iter(cases), "cases", bmy=True) == want
-    # fresh chains for every case, each freed once its case is scanned
-    fresh = ([HjCf(cf.entries) for cf in case] for case in cases)
+    # the records of the same chain objects, reused across cases
+    records = [list(map(dp_data, case)) for case in cases]
+    assert enumeration._scan("synthetic", fixture, records, "cases", bmy=True) == want
+    # fresh chains for every case, their records fetched as the scan consumes them
+    fresh = ([dp_data(HjCf(cf.entries)) for cf in case] for case in cases)
     assert enumeration._scan("synthetic", fixture, fresh, "cases", bmy=True) == want
 
 

@@ -4,16 +4,15 @@
 
 Runs the tier-1 command (``python -m pytest -q
 --continue-on-collection-errors``) in CHECKOUT (default: the checkout
-holding this script) with ``src/`` on ``PYTHONPATH``, ``--durations=0
---durations-min=0`` (so no setup, call or teardown is hidden for being short)
-and the cache plugin off, and prints one JSON object: the wall time in seconds,
-the pass and fail counts, the failing test ids, and the seconds per test file.
-A file's seconds are its collection, the import of its module included, and
-its setup, call and teardown, summed from pytest's durations.  Collection is
-timed in the same run by this script itself, loaded as a plugin with
-``-p tier1``: it prints one ``<seconds>s collect <file>`` line per file in
-the terminal summary.  It is not itself a test: compare two trees by running
-it on both, on one host.
+holding this script) with ``src/`` on ``PYTHONPATH`` and the cache plugin
+off, and prints one JSON object: the wall time in seconds, the pass and fail
+counts, the failing test ids, and the seconds per test file.  A file's
+seconds are its collection, the import of its module included, and the
+setup, call and teardown of each of its tests, however short.  They are
+summed in the same run by this script itself, loaded as a plugin with
+``-p tier1``: it prints one ``<seconds>s file <file>`` line per file, at
+full precision, in the terminal summary.  It is not itself a test: compare
+two trees by running it on both, on one host.
 
 It exits 0 when the only red is the two documented errata of the reference
 tables (``ERRATA``), and 1 when pytest reports an error or any other
@@ -33,7 +32,7 @@ import time
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 COMMAND = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
-DURATION = re.compile(r"^([0-9.]+)s (?:setup|call|teardown|collect)\s+([^:\s]+)(?:::|$)")
+DURATION = re.compile(r"^([0-9.]+)s file\s+(\S+)$")
 COUNT = re.compile(r"(\d+) (passed|failed|errors?)\b")
 FAILURE = re.compile(r"^(?:FAILED|ERROR) (\S+)")
 # the q20 tally (126, not 128) and the small-q square-D count (12, not 6)
@@ -45,9 +44,14 @@ ERRATA = {
 
 # -- the plugin: pytest loads this module with -p tier1 ----------------------
 
-# each file's collection seconds, and the start of the collector in progress
-_collect_s: dict[str, float] = {}
+# each file's seconds so far, and the start of the collector in progress
+_file_s: dict[str, float] = {}
 _started: dict[str, float] = {}
+
+
+def _add(nodeid: str, seconds: float) -> None:
+    path = nodeid.split("::")[0]
+    _file_s[path] = _file_s.get(path, 0.0) + seconds
 
 
 def pytest_collectstart(collector) -> None:
@@ -58,13 +62,16 @@ def pytest_collectstart(collector) -> None:
 def pytest_collectreport(report) -> None:
     start = _started.pop(report.nodeid, None)
     if start is not None:
-        path = report.nodeid.split("::")[0]
-        _collect_s[path] = _collect_s.get(path, 0.0) + time.perf_counter() - start
+        _add(report.nodeid, time.perf_counter() - start)
+
+
+def pytest_runtest_logreport(report) -> None:
+    _add(report.nodeid, report.duration)
 
 
 def pytest_terminal_summary(terminalreporter) -> None:
-    for path, seconds in _collect_s.items():
-        terminalreporter.write_line(f"{seconds:.2f}s collect  {path}")
+    for path, seconds in _file_s.items():
+        terminalreporter.write_line(f"{seconds:.9f}s file  {path}")
 
 
 # -- the script ----------------------------------------------------------------
@@ -78,7 +85,7 @@ def summarise(output: str, wall_s: float) -> dict:
         match = DURATION.match(line)
         if match:
             seconds, path = match.groups()
-            per_file[path] = per_file.get(path, 0.0) + float(seconds)
+            per_file[path] = float(seconds)
         match = FAILURE.match(line)
         if match:
             failures.append(match.group(1))
@@ -108,8 +115,7 @@ def main(argv: list[str] | None = None) -> int:
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, HERE, env.get("PYTHONPATH")]))
     start = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, *COMMAND, "--durations=0", "--durations-min=0",
-         "-p", "no:cacheprovider", "-p", "tier1"],
+        [sys.executable, *COMMAND, "-p", "no:cacheprovider", "-p", "tier1"],
         capture_output=True, text=True, env=env, cwd=root, check=False,
     )
     wall_s = time.perf_counter() - start
